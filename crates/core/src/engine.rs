@@ -42,10 +42,12 @@
 use crate::config::MachineConfig;
 use crate::executor::Executor;
 use crate::identity::{Canon, CanonWriter, JobId};
-use crate::runner::{default_opt, simulate, simulate_profiled, SimResult, Version};
+use crate::runner::{default_opt, simulate, SimResult, Version};
 use crate::sampled::{simulate_sampled, SimMode};
 use crate::store::Store;
-use selcache_compiler::{optimize, region_partition, selective, selective_for, OptConfig};
+use selcache_compiler::{
+    optimize, region_partition, selective, selective_for, AssistPolicy, OptConfig,
+};
 use selcache_ir::Program;
 use selcache_mem::{AssistKind, ControllerConfig};
 use selcache_workloads::{Benchmark, Scale};
@@ -134,7 +136,7 @@ impl SimJob {
 
 /// How a version's code is prepared (Section 4.4's software flow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrepKind {
+pub(crate) enum PrepKind {
     /// Unmodified source (`Base`, `PureHardware`).
     Raw,
     /// Locality-optimized (`PureSoftware`, `Combined`).
@@ -147,36 +149,34 @@ enum PrepKind {
     Dynamic,
 }
 
-impl Version {
-    fn prep_kind(self) -> PrepKind {
-        match self {
+impl PrepKind {
+    /// The preparation `version` runs; `dynamic` (a controller attached to
+    /// the machine) marks every selective region ON so the hardware decides.
+    pub(crate) fn of(version: Version, dynamic: bool) -> PrepKind {
+        match version {
             Version::Base | Version::PureHardware => PrepKind::Raw,
             Version::PureSoftware | Version::Combined => PrepKind::Optimized,
+            Version::Selective if dynamic => PrepKind::Dynamic,
             Version::Selective => PrepKind::Selective,
         }
     }
 
-    /// The assist actually attached to the hierarchy for this version under
-    /// `assist`-study experiments.
-    pub(crate) fn effective_assist(self, assist: AssistKind) -> AssistKind {
+    /// Prepares `base` with the compiler configuration `opt` (raw code
+    /// ignores it).
+    pub(crate) fn apply(self, base: Program, opt: &OptConfig) -> Program {
         match self {
-            Version::Base | Version::PureSoftware => AssistKind::None,
-            _ => assist,
+            PrepKind::Raw => base,
+            PrepKind::Optimized => optimize(&base, opt),
+            PrepKind::Selective => selective(&base, opt),
+            PrepKind::Dynamic => selective_for(&base, opt, AssistPolicy::Dynamic),
         }
-    }
-
-    /// Whether the assist flag starts enabled. The selective version starts
-    /// *off* (code is assumed software-optimized until an ON instruction
-    /// runs); the always-on versions start on.
-    pub(crate) fn initially_enabled(self) -> bool {
-        !matches!(self, Version::Selective)
     }
 }
 
 /// Identity of a prepared program: the source, the preparation, and (for
 /// compiler-prepared versions only) the compiler configuration.
 #[derive(Debug, Clone, PartialEq)]
-struct ProgramKey {
+pub(crate) struct ProgramKey {
     benchmark: Benchmark,
     scale: Scale,
     prep: PrepKind,
@@ -187,31 +187,70 @@ struct ProgramKey {
 
 impl ProgramKey {
     fn of(job: &SimJob) -> ProgramKey {
-        let mut prep = job.version.prep_kind();
-        if prep == PrepKind::Selective && job.machine.mem.controller.is_some() {
-            prep = PrepKind::Dynamic;
-        }
+        let prep = PrepKind::of(job.version, job.machine.mem.controller.is_some());
         ProgramKey {
             benchmark: job.benchmark,
             scale: job.scale,
             prep,
-            opt: match prep {
-                PrepKind::Raw => None,
-                _ => Some(job.opt),
-            },
+            opt: (prep != PrepKind::Raw).then_some(job.opt),
         }
     }
 
     fn build(&self) -> Program {
-        let base = self.benchmark.build(self.scale);
-        match (self.prep, &self.opt) {
-            (PrepKind::Raw, _) => base,
-            (PrepKind::Optimized, Some(opt)) => optimize(&base, opt),
-            (PrepKind::Selective, Some(opt)) => selective(&base, opt),
-            (PrepKind::Dynamic, Some(opt)) => {
-                selective_for(&base, opt, selcache_compiler::AssistPolicy::Dynamic)
-            }
-            _ => unreachable!("compiler-prepared key without an opt config"),
+        self.prep.apply(self.benchmark.build(self.scale), &self.opt.unwrap_or_default())
+    }
+
+    /// The region-partition threshold. Raw identities ignore the opt
+    /// config, so raw code always partitions at the default threshold.
+    fn threshold(&self) -> f64 {
+        self.opt.unwrap_or_default().threshold
+    }
+}
+
+impl Canon for ProgramKey {
+    fn canon(&self, w: &mut CanonWriter) {
+        self.benchmark.canon(w);
+        self.scale.canon(w);
+        w.u8(match self.prep {
+            PrepKind::Raw => 0,
+            PrepKind::Optimized => 1,
+            PrepKind::Selective => 2,
+            PrepKind::Dynamic => 3,
+        });
+        w.opt(&self.opt);
+    }
+}
+
+/// Everything the simulator reads besides the prepared program: the
+/// machine, the assist actually attached for the version, the assist's
+/// initial state, and the simulation mode.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SimSpec {
+    machine: MachineConfig,
+    assist: AssistKind,
+    assist_enabled: bool,
+    mode: SimMode,
+}
+
+impl SimSpec {
+    /// The spec `version` runs under an `assist` study. Base and
+    /// PureSoftware attach no assist. The selective version starts with the
+    /// assist *off* (code is assumed software-optimized until an ON
+    /// instruction runs); the always-on versions start on.
+    pub(crate) fn new(
+        machine: &MachineConfig,
+        assist: AssistKind,
+        version: Version,
+        mode: SimMode,
+    ) -> SimSpec {
+        SimSpec {
+            machine: machine.clone(),
+            assist: match version {
+                Version::Base | Version::PureSoftware => AssistKind::None,
+                _ => assist,
+            },
+            assist_enabled: version != Version::Selective,
+            mode,
         }
     }
 }
@@ -222,20 +261,14 @@ impl ProgramKey {
 #[derive(Debug, Clone, PartialEq)]
 struct ExecKey {
     program: ProgramKey,
-    machine: MachineConfig,
-    assist: AssistKind,
-    assist_enabled: bool,
-    mode: SimMode,
+    sim: SimSpec,
 }
 
 impl ExecKey {
     fn of(job: &SimJob) -> ExecKey {
         ExecKey {
             program: ProgramKey::of(job),
-            machine: job.machine.clone(),
-            assist: job.version.effective_assist(job.assist),
-            assist_enabled: job.version.initially_enabled(),
-            mode: job.mode,
+            sim: SimSpec::new(&job.machine, job.assist, job.version, job.mode),
         }
     }
 
@@ -246,26 +279,18 @@ impl ExecKey {
     /// to a store miss instead of a wrong result.
     fn canonical_bytes(&self) -> Vec<u8> {
         let mut w = CanonWriter::new();
-        // ProgramKey, in declaration order.
-        self.program.benchmark.canon(&mut w);
-        self.program.scale.canon(&mut w);
-        w.u8(match self.program.prep {
-            PrepKind::Raw => 0,
-            PrepKind::Optimized => 1,
-            PrepKind::Selective => 2,
-            PrepKind::Dynamic => 3,
-        });
-        w.opt(&self.program.opt);
+        self.program.canon(&mut w);
         // MachineConfig: cpu, mem, and the name (its `PartialEq` compares
         // the name too, and the old structural dedup inherited that).
-        self.machine.cpu.canon(&mut w);
-        self.machine.mem.canon(&mut w);
-        w.str(self.machine.name);
-        self.assist.canon(&mut w);
-        w.bool(self.assist_enabled);
+        let sim = &self.sim;
+        sim.machine.cpu.canon(&mut w);
+        sim.machine.mem.canon(&mut w);
+        w.str(sim.machine.name);
+        sim.assist.canon(&mut w);
+        w.bool(sim.assist_enabled);
         // Simulation mode, tag + parameters (exact runs and sampled runs
         // of the same job are different results).
-        match self.mode {
+        match sim.mode {
             SimMode::Exact => w.u8(0),
             SimMode::Sampled { interval_ops, max_intervals, warmup } => {
                 w.u8(1);
@@ -283,48 +308,56 @@ impl ExecKey {
 /// that executes the same prepared program with the same interval size and
 /// representative budget shares one profile pass and one checkpoint set —
 /// warmup length is deliberately excluded (it only affects pass 2).
-pub(crate) fn selection_key(
-    benchmark: Benchmark,
-    scale: Scale,
-    version: Version,
-    opt: &OptConfig,
-    dynamic: bool,
-    interval_ops: u64,
-    max_intervals: usize,
-) -> u128 {
-    let mut prep = version.prep_kind();
-    if dynamic && prep == PrepKind::Selective {
-        prep = PrepKind::Dynamic;
-    }
-    let program = ProgramKey {
-        benchmark,
-        scale,
-        prep,
-        opt: match prep {
-            PrepKind::Raw => None,
-            _ => Some(*opt),
-        },
-    };
-    selection_key_of(&program, interval_ops, max_intervals)
-}
-
 fn selection_key_of(program: &ProgramKey, interval_ops: u64, max_intervals: usize) -> u128 {
     let mut w = CanonWriter::new();
     // Domain-separate from job ids so a selection key can never alias a
     // store address.
     w.str("selection-key");
-    program.benchmark.canon(&mut w);
-    program.scale.canon(&mut w);
-    w.u8(match program.prep {
-        PrepKind::Raw => 0,
-        PrepKind::Optimized => 1,
-        PrepKind::Selective => 2,
-        PrepKind::Dynamic => 3,
-    });
-    w.opt(&program.opt);
+    program.canon(&mut w);
     w.u64(interval_ops);
     w.usize(max_intervals);
     JobId::of_bytes(&w.finish()).as_u128()
+}
+
+/// Simulates one prepared program under `spec` — the single dispatch every
+/// run bottoms out in, engine jobs and
+/// [`Experiment::run_program`](crate::Experiment::run_program)'s ad-hoc
+/// programs alike.
+///
+/// - Sampled runs share the process-wide profile pass of `program_key`
+///   (ad-hoc programs have no identity and pass `None`, so they profile
+///   afresh). They never carry regions.
+/// - Exact runs partition the program at `threshold` and attach the
+///   region profile when `profiled`, and always when a controller is
+///   attached: its per-region decisions need region identities, so a
+///   controller run without regions would be a *different* simulation.
+///   Callers strip the regions from results they did not ask to profile.
+pub(crate) fn dispatch(
+    spec: &SimSpec,
+    program: &Program,
+    program_key: Option<&ProgramKey>,
+    threshold: f64,
+    profiled: bool,
+    executor: &Executor,
+) -> SimResult {
+    match spec.mode {
+        SimMode::Sampled { interval_ops, max_intervals, warmup } => simulate_sampled(
+            &spec.machine,
+            spec.assist,
+            spec.assist_enabled,
+            program,
+            interval_ops,
+            max_intervals,
+            warmup,
+            program_key.map(|key| selection_key_of(key, interval_ops, max_intervals)),
+            executor,
+        ),
+        SimMode::Exact => {
+            let regions = (profiled || spec.machine.mem.controller.is_some())
+                .then(|| region_partition(program, threshold));
+            simulate(&spec.machine, spec.assist, spec.assist_enabled, program, regions.as_ref())
+        }
+    }
 }
 
 /// A normalized job set: the dedup work [`JobEngine`] does before any
@@ -553,7 +586,7 @@ impl JobEngine {
             for k in 0..unique.len() {
                 // Sampled results never carry regions, so a profiled run
                 // accepts them as-is rather than re-simulating forever.
-                let needs_regions = profiled && !unique[k].mode.is_sampled();
+                let needs_regions = profiled && !unique[k].sim.mode.is_sampled();
                 cached.push(store.get(ids[k], &identities[k]).and_then(|mut r| {
                     if needs_regions && r.regions.is_none() {
                         return None;
@@ -591,39 +624,14 @@ impl JobEngine {
             let key = &unique[k];
             let program = programs[prog_of[k]].as_ref().expect("prepared above");
             let start = Instant::now();
-            let result = match key.mode {
-                SimMode::Sampled { interval_ops, max_intervals, warmup } => {
-                    let skey = selection_key_of(&key.program, interval_ops, max_intervals);
-                    simulate_sampled(
-                        &key.machine,
-                        key.assist,
-                        key.assist_enabled,
-                        program,
-                        interval_ops,
-                        max_intervals,
-                        warmup,
-                        Some(skey),
-                        &self.executor,
-                    )
-                }
-                // Dynamic (controller-attached) jobs always run with the
-                // region partition attached, profiled or not: the
-                // controller's per-region decisions need region identities,
-                // so a dynamic run without regions would be a *different*
-                // simulation. Non-profiled callers get the regions stripped
-                // after the store write below.
-                SimMode::Exact if profiled || key.machine.mem.controller.is_some() => {
-                    let threshold = key
-                        .program
-                        .opt
-                        .as_ref()
-                        .map(|o| o.threshold)
-                        .unwrap_or_else(|| OptConfig::default().threshold);
-                    let map = region_partition(program, threshold);
-                    simulate_profiled(&key.machine, key.assist, key.assist_enabled, program, &map)
-                }
-                SimMode::Exact => simulate(&key.machine, key.assist, key.assist_enabled, program),
-            };
+            let result = dispatch(
+                &key.sim,
+                program,
+                Some(&key.program),
+                key.program.threshold(),
+                profiled,
+                &self.executor,
+            );
             (result, start.elapsed().as_secs_f64() * 1e3)
         });
 

@@ -1,13 +1,19 @@
-//! The experiment runner: builds a benchmark, prepares the code for one of
-//! the paper's simulated versions (Section 4.3), and runs it through the
-//! processor + memory-hierarchy simulator.
+//! The experiment front end and the simulation primitive.
+//!
+//! An [`Experiment`] fixes a machine, an assist, a compiler configuration,
+//! and a mode; [`Experiment::run`] and [`Experiment::run_profiled`] turn a
+//! `(benchmark, scale, version)` into one [`SimJob`] and submit it to the
+//! experiment's [`JobEngine`]. The engine owns the one execution path:
+//! preparation for the paper's simulated versions (Section 4.3), the
+//! exact/sampled, controller, and profiled dispatch, and the store. Ad-hoc
+//! programs ([`Experiment::run_program`]) enter the same dispatch without
+//! an identity. Every exact run bottoms out in [`simulate`].
 
 use crate::config::MachineConfig;
-use crate::engine::{selection_key, JobEngine};
-use crate::executor::Executor;
+use crate::engine::{dispatch, JobEngine, PrepKind, SimJob, SimSpec};
 use crate::profile::{RegionProfile, RegionProfileProbe};
-use crate::sampled::{simulate_sampled, SampledInfo, SimMode};
-use selcache_compiler::{optimize, region_partition, selective, selective_for, OptConfig};
+use crate::sampled::{SampledInfo, SimMode};
+use selcache_compiler::OptConfig;
 use selcache_cpu::{CpuStats, Pipeline};
 use selcache_ir::{Interp, Program, RegionMap};
 use selcache_mem::{AssistKind, ControllerConfig, HierarchyStats, MemoryHierarchy};
@@ -70,8 +76,10 @@ pub struct SimResult {
     /// representative intervals; `instructions` stays exact).
     pub sampled: Option<SampledInfo>,
     /// The stable execution-identity hash of the job that produced this
-    /// result. Populated by the [`JobEngine`] (which uses it as its dedup
-    /// key and store address); `None` for direct [`Experiment`] runs.
+    /// result: the [`JobEngine`]'s dedup key and store address. Every
+    /// engine and [`Experiment`] run carries one; only
+    /// [`Experiment::run_program`], whose ad-hoc programs have no identity,
+    /// returns `None`.
     pub job_id: Option<crate::identity::JobId>,
 }
 
@@ -105,56 +113,39 @@ pub(crate) fn default_opt(machine: &MachineConfig) -> OptConfig {
     opt
 }
 
-/// Runs one prepared program on one machine — the single simulation
-/// primitive both [`Experiment::run_program`] and the
-/// [`JobEngine`](crate::JobEngine) bottom out in.
+/// Runs one prepared program on one machine in detail — the one
+/// whole-program simulation primitive. With `regions`, a
+/// [`RegionProfileProbe`] attributes every cycle, commit, cache access,
+/// and assist event to its region (the aggregate counters are identical);
+/// without, the plain [`Interp`] and the null probe keep the hot path free
+/// of attribution.
 pub(crate) fn simulate(
     machine: &MachineConfig,
     assist: AssistKind,
     assist_enabled: bool,
     program: &Program,
+    regions: Option<&RegionMap>,
 ) -> SimResult {
     let mut hier_cfg = machine.mem.clone();
     hier_cfg.assist = assist;
     let mut mem = MemoryHierarchy::new(hier_cfg);
     mem.set_assist_enabled(assist_enabled);
-    let stats = Pipeline::new(machine.cpu).run(Interp::new(program), &mut mem);
+    let mut pipeline = Pipeline::new(machine.cpu);
+    let (stats, regions) = match regions {
+        None => (pipeline.run(Interp::new(program), &mut mem), None),
+        Some(map) => {
+            let mut probe = RegionProfileProbe::new(map);
+            let stats =
+                pipeline.run_probed(Interp::with_regions(program, map), &mut mem, &mut probe);
+            (stats, Some(probe.finish()))
+        }
+    };
     SimResult {
         cycles: stats.cycles,
         instructions: stats.committed,
         cpu: stats,
         mem: mem.stats(),
-        regions: None,
-        sampled: None,
-        job_id: None,
-    }
-}
-
-/// [`simulate`] with a [`RegionProfileProbe`] attached: identical aggregate
-/// counters, plus per-region attribution over `regions`.
-pub(crate) fn simulate_profiled(
-    machine: &MachineConfig,
-    assist: AssistKind,
-    assist_enabled: bool,
-    program: &Program,
-    regions: &RegionMap,
-) -> SimResult {
-    let mut hier_cfg = machine.mem.clone();
-    hier_cfg.assist = assist;
-    let mut mem = MemoryHierarchy::new(hier_cfg);
-    mem.set_assist_enabled(assist_enabled);
-    let mut probe = RegionProfileProbe::new(regions);
-    let stats = Pipeline::new(machine.cpu).run_probed(
-        Interp::with_regions(program, regions),
-        &mut mem,
-        &mut probe,
-    );
-    SimResult {
-        cycles: stats.cycles,
-        instructions: stats.committed,
-        cpu: stats,
-        mem: mem.stats(),
-        regions: Some(probe.finish()),
+        regions,
         sampled: None,
         job_id: None,
     }
@@ -252,7 +243,7 @@ impl ExperimentBuilder {
             opt,
             threads: self.threads,
             mode: self.mode,
-            executor: Executor::new(self.threads),
+            engine: JobEngine::new(self.threads),
         }
     }
 }
@@ -280,7 +271,7 @@ pub struct Experiment {
     opt: OptConfig,
     threads: usize,
     mode: SimMode,
-    executor: Executor,
+    engine: JobEngine,
 }
 
 impl Experiment {
@@ -319,101 +310,70 @@ impl Experiment {
         self.mode
     }
 
-    /// A [`JobEngine`] sharing this experiment's thread budget: jobs run
-    /// through the engine and sampled intervals run through
-    /// [`Experiment::run`] lease workers from one pool.
+    /// The experiment's [`JobEngine`], sharing its thread budget: job sets
+    /// run through the returned engine and [`Experiment::run`]'s sampled
+    /// intervals lease workers from one pool.
     pub fn engine(&self) -> JobEngine {
-        JobEngine::with_executor(self.executor.clone())
+        self.engine.clone()
     }
 
     /// Prepares the program a version executes (Section 4.4's software
-    /// development flow).
+    /// development flow) — the same rule the [`JobEngine`] applies. Under a
+    /// controller, the selective version marks every region ON (the
+    /// hardware decides); statically, it follows the paper's
+    /// irregular-regions rule.
     pub fn prepare(&self, program: &Program, version: Version) -> Program {
-        match version {
-            Version::Base | Version::PureHardware => program.clone(),
-            Version::PureSoftware | Version::Combined => optimize(program, &self.opt),
-            // Under a controller every region is marked ON (the hardware
-            // decides); statically, the paper's irregular-regions rule.
-            Version::Selective if self.machine.mem.controller.is_some() => {
-                selective_for(program, &self.opt, selcache_compiler::AssistPolicy::Dynamic)
-            }
-            Version::Selective => selective(program, &self.opt),
-        }
+        PrepKind::of(version, self.machine.mem.controller.is_some())
+            .apply(program.clone(), &self.opt)
     }
 
-    /// Runs a prepared program under the experiment's [`SimMode`]. Ad-hoc
-    /// programs carry no stable identity, so sampled runs through this
-    /// entry point profile the trace afresh each call; [`Experiment::run`]
-    /// and the [`JobEngine`] share profile passes process-wide.
+    /// Runs a prepared program under the experiment's [`SimMode`], through
+    /// the engine's dispatch. Ad-hoc programs carry no stable identity, so
+    /// the result has no `job_id`, exact runs partition regions (needed by
+    /// a controller) at the experiment's threshold, and sampled runs
+    /// profile the trace afresh each call; [`Experiment::run`] and the
+    /// [`JobEngine`] share profile passes process-wide.
     pub fn run_program(&self, program: &Program, version: Version) -> SimResult {
-        self.dispatch(program, version, None)
+        let spec = SimSpec::new(&self.machine, self.assist, version, self.mode);
+        let mut result =
+            dispatch(&spec, program, None, self.opt.threshold, false, self.engine.executor());
+        result.regions = None;
+        result
     }
 
-    /// Builds, prepares, and runs a benchmark under a version.
-    pub fn run(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
-        let base = benchmark.build(scale);
-        let prepared = self.prepare(&base, version);
-        let key = match self.mode {
-            SimMode::Exact => None,
-            SimMode::Sampled { interval_ops, max_intervals, .. } => Some(selection_key(
-                benchmark,
-                scale,
-                version,
-                &self.opt,
-                self.machine.mem.controller.is_some(),
-                interval_ops,
-                max_intervals,
-            )),
-        };
-        self.dispatch(&prepared, version, key)
-    }
-
-    fn dispatch(&self, program: &Program, version: Version, key: Option<u128>) -> SimResult {
-        let assist = version.effective_assist(self.assist);
-        let enabled = version.initially_enabled();
-        match self.mode {
-            // Controller-attached exact runs always simulate with the
-            // region partition: the controller's per-region decisions need
-            // region identities. The profile itself is dropped — plain runs
-            // stay region-less, exactly like the engine's plain path.
-            SimMode::Exact if self.machine.mem.controller.is_some() => {
-                let map = region_partition(program, self.opt.threshold);
-                let mut r = simulate_profiled(&self.machine, assist, enabled, program, &map);
-                r.regions = None;
-                r
-            }
-            SimMode::Exact => simulate(&self.machine, assist, enabled, program),
-            SimMode::Sampled { interval_ops, max_intervals, warmup } => simulate_sampled(
-                &self.machine,
-                assist,
-                enabled,
-                program,
-                interval_ops,
-                max_intervals,
-                warmup,
-                key,
-                &self.executor,
-            ),
+    /// The job [`Experiment::run`] submits: a benchmark under a version,
+    /// with the experiment's machine, assist, compiler configuration, and
+    /// mode.
+    fn job(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimJob {
+        SimJob {
+            benchmark,
+            scale,
+            machine: self.machine.clone(),
+            assist: self.assist,
+            version,
+            opt: self.opt,
+            mode: self.mode,
         }
     }
 
-    /// [`Experiment::run`] with region profiling: partitions the prepared
-    /// program with the experiment's threshold and attributes every cycle,
-    /// commit, cache access, and assist event to its region. The result's
+    /// Builds, prepares, and runs a benchmark under a version: one job
+    /// through the experiment's [`JobEngine`], so the result equals
+    /// `self.engine().run(..)` on the same job, `job_id` included.
+    pub fn run(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
+        self.engine.run(&[self.job(benchmark, scale, version)]).remove(0)
+    }
+
+    /// [`Experiment::run`] with region profiling, through
+    /// [`JobEngine::run_profiled`]: every cycle, commit, cache access, and
+    /// assist event is attributed to its region, and the result's
     /// `regions` field is populated; aggregate counters are unchanged.
-    /// Profiled runs are always exact — attribution needs every op through
-    /// the detailed pipeline, so [`SimMode::Sampled`] does not apply here.
+    /// Compiler-prepared code is partitioned at the experiment's threshold;
+    /// raw code (Base, PureHardware) at the default threshold, because its
+    /// identity ignores the compiler configuration. Attribution needs every
+    /// op through the detailed pipeline, so a [`SimMode::Sampled`]
+    /// experiment returns its sampled result without regions.
     pub fn run_profiled(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
-        let base = benchmark.build(scale);
-        let prepared = self.prepare(&base, version);
-        let map = region_partition(&prepared, self.opt.threshold);
-        simulate_profiled(
-            &self.machine,
-            version.effective_assist(self.assist),
-            version.initially_enabled(),
-            &prepared,
-            &map,
-        )
+        self.engine.run_profiled(&[self.job(benchmark, scale, version)]).remove(0)
     }
 }
 

@@ -304,9 +304,9 @@ fn measure_rep(
     RepMeasure { cpu: stats, mem: mem_delta, rep_len, warm_ops: start - warm_start }
 }
 
-/// Runs one prepared program in sampled mode. The drop-in sampled
-/// counterpart of [`crate::runner::simulate`]: same inputs plus the
-/// sampling parameters, an optional process-wide selection-cache key, and
+/// Runs one prepared program in sampled mode. The sampled counterpart of
+/// [`crate::runner::simulate`]: the same machine, assist, and program plus
+/// the sampling parameters, an optional process-wide selection-cache key, and
 /// the executor whose thread budget the per-representative fan-out leases
 /// workers from.
 ///
@@ -382,7 +382,7 @@ mod tests {
         // with weight 1 and no warmup to skip: the sampled path degenerates
         // to the exact pipeline run and must agree bit-for-bit.
         let program = Benchmark::Adi.build(Scale::Tiny);
-        let exact = simulate(&base(), AssistKind::None, true, &program);
+        let exact = simulate(&base(), AssistKind::None, true, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::None,
@@ -428,7 +428,7 @@ mod tests {
         // extrapolation; the strict 3% gate at Scale::Large lives in the
         // sampled_run example (wired into CI).
         let program = Benchmark::Vpenta.build(Scale::Medium);
-        let exact = simulate(&base(), AssistKind::None, true, &program);
+        let exact = simulate(&base(), AssistKind::None, true, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::None,
@@ -455,7 +455,7 @@ mod tests {
         // assisted accesses in proportion.
         let opt = crate::runner::default_opt(&base());
         let program = selcache_compiler::selective(&Benchmark::Chaos.build(Scale::Small), &opt);
-        let exact = simulate(&base(), AssistKind::Bypass, false, &program);
+        let exact = simulate(&base(), AssistKind::Bypass, false, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::Bypass,

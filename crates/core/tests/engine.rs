@@ -1,8 +1,11 @@
 //! Engine-level guarantees the unified run API is built on: thread-count
-//! independence (byte-identical reports) and job deduplication.
+//! independence (byte-identical reports), job deduplication, and
+//! `Experiment` runs answered by the engine.
 
+use selcache_compiler::OptConfig;
 use selcache_core::{
-    AssistKind, Benchmark, JobEngine, MachineConfig, Scale, SimJob, SuiteResult, Version,
+    AssistKind, Benchmark, ControllerConfig, Executor, ExperimentBuilder, JobEngine, MachineConfig,
+    Scale, SimJob, SimMode, SuiteResult, Version,
 };
 
 const BENCHMARKS: [Benchmark; 2] = [Benchmark::Vpenta, Benchmark::Compress];
@@ -60,4 +63,69 @@ fn base_runs_are_shared_across_assist_studies() {
     assert_eq!(results[0], results[5], "Base slot answered by the shared run");
     assert_eq!(results[2], results[7], "PureSoftware slot answered by the shared run");
     assert_ne!(results[1], results[6], "assist-dependent runs stay distinct");
+}
+
+/// `Experiment` is a front end over `JobEngine`: for every benchmark and
+/// version, an experiment's plain and profiled runs equal the engine's
+/// answer to the same `SimJob` — whole results, `regions` and `job_id`
+/// included. Covers exact, sampled and controller-attached runs, at the
+/// default region threshold and at a non-default one (raw code must then
+/// still partition at the default threshold, as its identity says).
+#[test]
+fn experiment_runs_equal_engine_runs() {
+    let machine = MachineConfig::base();
+    let derived = *ExperimentBuilder::new().machine(machine.clone()).build().opt();
+    let low = OptConfig { threshold: 0.1, ..derived };
+    let sampled = SimMode::Sampled { interval_ops: 4096, max_intervals: 4, warmup: 1024 };
+    let versions = [Version::Base, Version::PureHardware, Version::Selective];
+
+    let mut mismatches = Vec::new();
+    for (label, mode, controller) in [
+        ("exact", SimMode::Exact, None),
+        ("sampled", sampled, None),
+        ("controller", SimMode::Exact, Some(ControllerConfig::default())),
+    ] {
+        for opt in [derived, low] {
+            let mut builder = ExperimentBuilder::new()
+                .machine(machine.clone())
+                .assist(AssistKind::Bypass)
+                .opt(opt)
+                .mode(mode)
+                .threads(1);
+            if let Some(ctl) = controller {
+                builder = builder.controller(ctl);
+            }
+            let exp = builder.build();
+            let jobs: Vec<SimJob> = Benchmark::ALL
+                .iter()
+                .flat_map(|&b| versions.map(|v| (b, v)))
+                .map(|(b, v)| {
+                    SimJob::new(b, Scale::Tiny, machine.clone(), AssistKind::Bypass, v)
+                        .with_opt(opt)
+                        .with_mode(mode)
+                })
+                .map(|job| match controller {
+                    Some(ctl) => job.with_controller(ctl),
+                    None => job,
+                })
+                .collect();
+            let engine = JobEngine::new(2);
+            let plain = engine.run(&jobs);
+            let profiled = engine.run_profiled(&jobs);
+            let via_exp = Executor::new(2).map(&jobs, |job| {
+                let (b, v) = (job.benchmark, job.version);
+                (exp.run(b, Scale::Tiny, v), exp.run_profiled(b, Scale::Tiny, v))
+            });
+            for (k, (run, run_profiled)) in via_exp.into_iter().enumerate() {
+                let (b, v, t) = (jobs[k].benchmark, jobs[k].version, opt.threshold);
+                if run != plain[k] {
+                    mismatches.push(format!("{label} t={t} run {b} {v:?}"));
+                }
+                if run_profiled != profiled[k] {
+                    mismatches.push(format!("{label} t={t} run_profiled {b} {v:?}"));
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "experiment and engine disagree: {mismatches:#?}");
 }
