@@ -24,6 +24,25 @@ fn mixed_trace(n: u64) -> Vec<TraceOp> {
         .collect()
 }
 
+/// A pointer chase: every load depends on the previous one and misses to
+/// memory (a fresh page and L2 block each time), so IPC sits far below 1
+/// and most cycles are idle — the regime wakeup issue and idle-cycle
+/// skipping target.
+fn dependent_miss_trace(n: u64) -> Vec<TraceOp> {
+    (0..n)
+        .map(|i| match i % 4 {
+            0 => TraceOp::with_dep(
+                0x40_0000,
+                OpKind::Load(Addr(0x1000_0000 + (i * 4160) % (1 << 28))),
+                u16::from(i > 0) * 4,
+            ),
+            1 => TraceOp::with_dep(0x40_0004, OpKind::IntAlu, 1),
+            2 => TraceOp::with_dep(0x40_0008, OpKind::FpAlu, 1),
+            _ => TraceOp::with_dep(0x40_000C, OpKind::Branch { taken: true }, 1),
+        })
+        .collect()
+}
+
 fn bench_cpu(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpu");
     let n = 100_000u64;
@@ -40,6 +59,14 @@ fn bench_cpu(c: &mut Criterion) {
 
     g.bench_function("ooo_mixed", |b| {
         let trace = mixed_trace(n);
+        b.iter(|| {
+            let mut mem = MemoryHierarchy::new(HierarchyConfig::paper_base(AssistKind::None));
+            Pipeline::new(CpuConfig::paper_base()).run(trace.iter().copied(), &mut mem)
+        });
+    });
+
+    g.bench_function("ooo_dependent_misses", |b| {
+        let trace = dependent_miss_trace(n);
         b.iter(|| {
             let mut mem = MemoryHierarchy::new(HierarchyConfig::paper_base(AssistKind::None));
             Pipeline::new(CpuConfig::paper_base()).run(trace.iter().copied(), &mut mem)

@@ -204,8 +204,8 @@ impl RegionProfileProbe {
 }
 
 impl Probe for RegionProfileProbe {
-    fn cycle(&mut self, region: RegionId) {
-        self.bucket(region).cycles += 1;
+    fn cycles(&mut self, region: RegionId, n: u64) {
+        self.bucket(region).cycles += n;
     }
 
     fn commit(&mut self, site: Site, kind: selcache_ir::OpKind) {
@@ -288,7 +288,8 @@ mod tests {
         let mut p = RegionProfileProbe::new(&map);
         let alpha = Site::new(0, RegionId(0));
         let beta = Site::new(0, RegionId(1));
-        p.cycle(RegionId(0));
+        p.cycles(RegionId(0), 4);
+        p.cycles(RegionId(1), 2);
         p.commit(alpha, OpKind::Load(Addr(0)));
         p.cache_access(CacheLevel::L1d, alpha, Addr(0), false, Lookup::Miss(MissClass::Compulsory));
         p.cache_access(CacheLevel::L2, beta, Addr(0), false, Lookup::Hit);
@@ -297,7 +298,8 @@ mod tests {
         p.assist_toggle(Site::UNKNOWN, true);
         let prof = p.finish();
         let [a, b, outside] = prof.regions() else { panic!("3 buckets") };
-        assert_eq!((a.cycles, a.committed, a.loads, a.l1d_accesses, a.l1d_misses), (1, 1, 1, 1, 1));
+        assert_eq!((a.cycles, a.committed, a.loads, a.l1d_accesses, a.l1d_misses), (4, 1, 1, 1, 1));
+        assert_eq!(b.cycles, 2);
         assert_eq!((b.l2_accesses, b.l2_misses, b.assisted_accesses, b.assist_hits), (1, 0, 1, 1));
         assert_eq!(outside.toggles, 1);
         assert_eq!(prof.total().committed, 1);

@@ -327,6 +327,11 @@ pub(crate) fn simulate_sampled(
     selection_key: Option<u128>,
     executor: &Executor,
 ) -> SimResult {
+    // Warmup divides by the fetch-block size before any pipeline (whose
+    // constructor checks the same) exists.
+    if let Err(e) = machine.cpu.validate() {
+        panic!("invalid CpuConfig: {e}");
+    }
     let plan = Plan::compile(program);
     let sel = selection(program, &plan, interval_ops, max_intervals, selection_key);
 
@@ -403,6 +408,25 @@ mod tests {
         assert_eq!(info.representatives, 1);
         assert_eq!(info.detailed_ops, info.total_ops);
         assert!((info.coverage() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CpuConfig: fetch_block must be at least 1")]
+    fn invalid_cpu_config_is_rejected_before_warmup() {
+        let mut machine = base();
+        machine.cpu.fetch_block = 0;
+        let program = Benchmark::Adi.build(Scale::Tiny);
+        simulate_sampled(
+            &machine,
+            AssistKind::None,
+            true,
+            &program,
+            1 << 10,
+            4,
+            1 << 10,
+            None,
+            &Executor::serial(),
+        );
     }
 
     #[test]

@@ -80,6 +80,41 @@ impl CpuConfig {
             model: CpuModel::OutOfOrder,
         }
     }
+
+    /// Checks that a pipeline can make progress under this configuration:
+    /// every width, queue and unit count, the predictor size, the
+    /// fetch-block size, and both ALU latencies must be nonzero. A zero width or queue would stall the
+    /// pipeline forever, a zero fetch block divides by zero, and the
+    /// wakeup-driven issue stage relies on every ALU result completing at
+    /// least one cycle after it issues.
+    ///
+    /// ```
+    /// use selcache_cpu::CpuConfig;
+    ///
+    /// assert!(CpuConfig::paper_base().validate().is_ok());
+    /// let cfg = CpuConfig { ruu_entries: 0, ..CpuConfig::paper_base() };
+    /// assert_eq!(cfg.validate(), Err("ruu_entries must be at least 1".to_string()));
+    /// ```
+    pub fn validate(&self) -> Result<(), String> {
+        let fields = [
+            ("issue_width", u64::from(self.issue_width)),
+            ("fetch_width", u64::from(self.fetch_width)),
+            ("commit_width", u64::from(self.commit_width)),
+            ("ruu_entries", u64::from(self.ruu_entries)),
+            ("lsq_entries", u64::from(self.lsq_entries)),
+            ("mem_ports", u64::from(self.mem_ports)),
+            ("int_units", u64::from(self.int_units)),
+            ("fp_units", u64::from(self.fp_units)),
+            ("predictor_entries", self.predictor_entries as u64),
+            ("fetch_block", self.fetch_block),
+            ("int_latency", self.int_latency),
+            ("fp_latency", self.fp_latency),
+        ];
+        match fields.iter().find(|(_, v)| *v == 0) {
+            Some((name, _)) => Err(format!("{name} must be at least 1")),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Default for CpuConfig {
@@ -102,5 +137,33 @@ mod tests {
         assert_eq!((c.int_units, c.fp_units), (4, 4));
         assert_eq!(c.predictor_entries, 2048);
         assert_eq!(c.model, CpuModel::OutOfOrder);
+    }
+
+    #[test]
+    fn validate_and_constructor_reject_each_zero_field() {
+        type Zero = fn(&mut CpuConfig);
+        let cases: [(&str, Zero); 12] = [
+            ("issue_width", |c| c.issue_width = 0),
+            ("fetch_width", |c| c.fetch_width = 0),
+            ("commit_width", |c| c.commit_width = 0),
+            ("ruu_entries", |c| c.ruu_entries = 0),
+            ("lsq_entries", |c| c.lsq_entries = 0),
+            ("mem_ports", |c| c.mem_ports = 0),
+            ("int_units", |c| c.int_units = 0),
+            ("fp_units", |c| c.fp_units = 0),
+            ("predictor_entries", |c| c.predictor_entries = 0),
+            ("fetch_block", |c| c.fetch_block = 0),
+            ("int_latency", |c| c.int_latency = 0),
+            ("fp_latency", |c| c.fp_latency = 0),
+        ];
+        for (name, zero) in cases {
+            let mut c = CpuConfig::paper_base();
+            zero(&mut c);
+            assert_eq!(c.validate(), Err(format!("{name} must be at least 1")));
+            // The constructor refuses it; no pipeline ever runs on it.
+            let built = std::panic::catch_unwind(|| crate::Pipeline::new(c));
+            assert!(built.is_err(), "Pipeline::new accepted zero {name}");
+        }
+        assert_eq!(CpuConfig::paper_base().validate(), Ok(()));
     }
 }

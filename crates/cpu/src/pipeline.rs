@@ -2,10 +2,11 @@
 //!
 //! Structure per simulated cycle: **commit** (in order, up to the commit
 //! width), **issue** (out of order from the RUU, bounded by issue width and
-//! memory ports; operands must be complete), **fetch/dispatch** (in order,
-//! bounded by fetch width, RUU and LSQ occupancy; branches consult the
-//! bimodal predictor and a misprediction blocks fetch until the branch
-//! resolves plus a refill penalty; instruction-cache misses stall fetch).
+//! functional units; operands must be complete), **fetch/dispatch** (in
+//! order, bounded by fetch width, RUU and LSQ occupancy; branches consult
+//! the direction predictor and a misprediction blocks fetch until the
+//! branch resolves plus a refill penalty; instruction-cache misses stall
+//! fetch).
 //!
 //! Memory operations perform their hierarchy access at issue time; the
 //! access latency becomes the op's completion latency. `AssistOn`/`AssistOff`
@@ -13,47 +14,65 @@
 //! with respect to all later dispatches) and cost one pipeline slot each —
 //! the instruction overhead the paper accounts for.
 
-use crate::config::{CpuConfig, CpuModel, PredictorKind};
-use crate::predictor::{Bimodal, Gshare, Predictor};
+use crate::config::{CpuConfig, CpuModel};
+use crate::predictor::Predictor;
 use crate::stats::{CpuStats, CpuStatsProbe};
 use selcache_ir::{OpKind, RegionId, TraceOp};
 use selcache_mem::{MemoryHierarchy, NullProbe, Probe, Site};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Completion-time ring size; dependence distances are clamped below this.
-const RING: usize = 1024;
+/// Dependence horizon: an op whose producer is `DEP_HORIZON` or more ops
+/// earlier is treated as independent (a producer that far back has long
+/// committed on any realistic RUU).
+const DEP_HORIZON: u64 = 1024;
 
+/// End-of-list marker for the intrusive ring-position lists.
+const NIL: u32 = u32::MAX;
+
+/// Cycles ahead the wake queue's timing wheel covers (a paper-machine
+/// memory miss fits); later wakeups go to its heap.
+const WHEEL: u64 = 256;
+
+/// Executed (not skipped) cycles between invariant checks in debug builds.
+const INVARIANT_PERIOD: u64 = 32;
+
+/// One RUU entry.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    seq: u64,
     pc: u64,
-    region: RegionId,
-    kind: OpKind,
-    issued: bool,
+    /// Completion cycle, valid once `issued`.
     ready_at: u64,
-    is_mem: bool,
-}
-
-/// Ready-queue record for one unissued op: everything the issue scan needs
-/// to decide "can this issue now?" without touching its RUU slot. Three
-/// entries fit in a cache line, so fruitless scans over a mostly-blocked
-/// window stay cheap.
-#[derive(Debug, Clone, Copy)]
-struct IssueEntry {
-    seq: u64,
-    /// Sequence number of the producing op, `u64::MAX` when independent.
-    dep_seq: u64,
+    kind: OpKind,
+    region: RegionId,
     class: UnitClass,
+    issued: bool,
+    /// Ring position of the first op waiting on this op's result (`NIL`
+    /// when none); the list is emptied when this op issues.
+    first_dependent: u32,
+    /// Ring position of the next op waiting on the same producer.
+    next_dependent: u32,
 }
 
 impl Slot {
+    const EMPTY: Slot = Slot {
+        pc: 0,
+        ready_at: 0,
+        kind: OpKind::IntAlu,
+        region: RegionId::NONE,
+        class: UnitClass::Int,
+        issued: false,
+        first_dependent: NIL,
+        next_dependent: NIL,
+    };
+
     fn site(&self) -> Site {
         Site::new(self.pc, self.region)
     }
 }
 
-/// Functional-unit class an op contends for; mirrors the `unit_free` check
-/// in [`Pipeline::issue`] exactly.
+/// Functional-unit class an op contends for: memory ports, integer ALUs
+/// (integer, branch and assist-toggle ops), or FP units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UnitClass {
     Mem,
@@ -71,7 +90,180 @@ impl UnitClass {
     }
 }
 
+/// A fixed-size set of small integers — RUU ring positions or wheel
+/// buckets — with an ordered search for the next member.
+#[derive(Debug, Clone)]
+struct BitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BitSet {
+    fn new(positions: usize) -> Self {
+        BitSet { words: vec![0; positions.div_ceil(64)], len: 0 }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.words[pos / 64] & (1 << (pos % 64)) != 0
+    }
+
+    fn insert(&mut self, pos: usize) {
+        debug_assert!(!self.contains(pos), "position {pos} is already set");
+        self.words[pos / 64] |= 1 << (pos % 64);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, pos: usize) {
+        debug_assert!(self.contains(pos), "position {pos} is not set");
+        self.words[pos / 64] &= !(1 << (pos % 64));
+        self.len -= 1;
+    }
+
+    /// The lowest member in `lo..hi`.
+    fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let mut w = lo / 64;
+        let mut bits = self.words[w] & (!0 << (lo % 64));
+        loop {
+            if bits != 0 {
+                let pos = w * 64 + bits.trailing_zeros() as usize;
+                return (pos < hi).then_some(pos);
+            }
+            w += 1;
+            if w * 64 >= hi {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+
+    /// Walking a ring of `size` positions from `start` (wrapping at
+    /// `size`), the distance `d < limit` to the first member.
+    fn ring_next(&self, start: usize, size: usize, limit: usize) -> Option<usize> {
+        let end = start + limit;
+        if end <= size {
+            return self.first_in(start, end).map(|pos| pos - start);
+        }
+        self.first_in(start, size)
+            .map(|pos| pos - start)
+            .or_else(|| self.first_in(0, end - size).map(|pos| pos + size - start))
+    }
+}
+
+/// The wake queue: unissued ops whose producer has issued but not yet
+/// completed, keyed by the cycle their operand becomes available. Wakeups
+/// due within [`WHEEL`] cycles — ALU results, cache hits, most misses —
+/// sit in a timing wheel of per-cycle buckets with O(1) insert and drain;
+/// later ones in a min-heap keyed by `(ready cycle, ring position)`. Only
+/// the ready cycle matters: due entries drain into the ready set, which
+/// restores sequence order.
+#[derive(Debug, Clone)]
+struct WakeQueue {
+    /// Bucket `c % WHEEL` heads the list of ops due at cycle `c`.
+    buckets: Vec<u32>,
+    /// The non-empty buckets.
+    occupied: BitSet,
+    /// Next op in the same bucket, per ring position.
+    link: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl WakeQueue {
+    fn new(positions: usize) -> Self {
+        WakeQueue {
+            buckets: vec![NIL; WHEEL as usize],
+            occupied: BitSet::new(WHEEL as usize),
+            link: vec![NIL; positions],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Queues the op at `pos` to become ready at cycle `at > now`.
+    fn push(&mut self, pos: usize, at: u64, now: u64) {
+        debug_assert!(at > now, "a wakeup must lie in the future");
+        if at - now < WHEEL {
+            let b = (at % WHEEL) as usize;
+            if self.buckets[b] == NIL {
+                self.occupied.insert(b);
+            }
+            self.link[pos] = self.buckets[b];
+            self.buckets[b] = pos as u32;
+        } else {
+            self.heap.push(Reverse((at, pos as u32)));
+        }
+    }
+
+    /// Moves every op due at `now` into `ready`. Called at every cycle an
+    /// entry falls due, so the wheel only ever holds the next `WHEEL`
+    /// cycles.
+    fn drain_into(&mut self, now: u64, ready: &mut BitSet) {
+        let b = (now % WHEEL) as usize;
+        if self.buckets[b] != NIL {
+            self.occupied.remove(b);
+            let mut pos = std::mem::replace(&mut self.buckets[b], NIL);
+            while pos != NIL {
+                ready.insert(pos as usize);
+                pos = self.link[pos as usize];
+            }
+        }
+        while let Some(&Reverse((at, pos))) = self.heap.peek() {
+            if at > now {
+                break;
+            }
+            self.heap.pop();
+            ready.insert(pos as usize);
+        }
+    }
+
+    /// The earliest cycle at or after `now` at which an op falls due.
+    fn next_due(&self, now: u64) -> Option<u64> {
+        let wheel = self
+            .occupied
+            .ring_next((now % WHEEL) as usize, WHEEL as usize, WHEEL as usize)
+            .map(|d| now + d as u64);
+        let heap = self.heap.peek().map(|&Reverse((at, _))| at);
+        match (wheel, heap) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+}
+
 /// An out-of-order (or in-order, per [`CpuModel`]) processor pipeline.
+///
+/// # Event-driven simulation
+///
+/// The timing is exactly that of a core that rescans its whole RUU every
+/// cycle, but the implementation neither scans nor steps through idle
+/// cycles:
+///
+/// - **Wakeup issue.** Every unissued op waits in exactly one place: the
+///   *ready set* (a bitset over RUU ring positions, any RUU size) when its
+///   operand is available, the *dependent list* of its producer while
+///   that producer has not issued, or the *wake queue* — a timing wheel
+///   for the next 256 cycles backed by a min-heap keyed by ready cycle —
+///   while the producer's completion time is known but still in the
+///   future. Issuing a producer moves its dependents into the wake queue;
+///   each cycle moves the due entries into the ready set. Issue walks only
+///   the set bits, in sequence order, under the scan's width, unit and
+///   in-order rules — so the memory hierarchy sees the same accesses in
+///   the same order.
+/// - **Idle-cycle skipping.** When commit, issue and fetch provably do
+///   nothing in a cycle, nothing changes until the earliest of the head's
+///   completion, the next wakeup, and the end of a fetch stall.
+///   [`Pipeline::run_probed`] jumps there directly and charges the skipped
+///   cycles to the probe in bulk through the counted
+///   [`Probe::cycles`]/[`Probe::issue_stalls`]/[`Probe::fetch_stalls`]
+///   events.
+///
+/// Test and debug builds periodically check that every unissued op is in
+/// exactly one of the three places and no issued op is in any.
 ///
 /// ```
 /// use selcache_cpu::{CpuConfig, Pipeline};
@@ -89,28 +281,25 @@ pub struct Pipeline {
     cfg: CpuConfig,
     predictor: Predictor,
     stats: CpuStatsProbe,
-    ruu: VecDeque<Slot>,
+    /// The RUU as a ring of `ruu_entries` slots; the oldest op sits at
+    /// `head` and the op `k` places younger at `(head + k) % ruu_entries`.
+    ruu: Vec<Slot>,
+    head: usize,
+    len: usize,
     lsq_used: u32,
-    /// The ready queue: exactly the unissued ops, in sequence order. The
-    /// issue scan walks this compact array instead of the RUU, so issued
-    /// slots cost nothing and blocked candidates are rejected from a
-    /// 24-byte record instead of a full [`Slot`].
-    unissued_q: Vec<IssueEntry>,
-    /// Unissued RUU occupancy per functional-unit class; lets the issue scan
-    /// stop as soon as every class is saturated or drained.
-    unissued: [u32; 3],
+    /// The ready set: the unissued ops whose operand is available, by ring
+    /// position.
+    ready: BitSet,
+    wakeups: WakeQueue,
+    /// In-order model only: sequence number of the oldest unissued op
+    /// (in-order issue keeps the unissued ops a suffix of the RUU).
+    next_in_order: u64,
     /// `log2(fetch_block)` when the fetch-block size is a power of two
     /// (`u32::MAX` otherwise): fetch-block numbering shifts instead of
     /// dividing on every dispatched op.
     fetch_shift: u32,
-    /// Earliest cycle the issue scan could find work after a fruitless scan:
-    /// the minimum completion time of the dependencies that blocked it,
-    /// lowered by fetch when it dispatches an op that could be ready sooner.
-    /// Until then the scan is skipped — nothing in the window can become
-    /// ready earlier, so the skipped scans would provably issue nothing.
-    issue_retry_at: u64,
-    completion: Vec<u64>,
     cycle: u64,
+    /// Sequence number the next dispatched op receives.
     seq: u64,
     fetch_resume: u64,
     blocked_on: Option<u64>,
@@ -124,25 +313,30 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a pipeline with fresh predictor state.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`CpuConfig::validate`].
     pub fn new(cfg: CpuConfig) -> Self {
-        let predictor = match cfg.predictor {
-            PredictorKind::Bimodal => Predictor::Bimodal(Bimodal::new(cfg.predictor_entries)),
-            PredictorKind::Gshare => Predictor::Gshare(Gshare::new(cfg.predictor_entries)),
-        };
+        if let Err(e) = cfg.validate() {
+            panic!("invalid CpuConfig: {e}");
+        }
+        let entries = cfg.ruu_entries as usize;
         Pipeline {
-            predictor,
+            predictor: Predictor::from_config(&cfg),
             stats: CpuStatsProbe::default(),
-            ruu: VecDeque::with_capacity(cfg.ruu_entries as usize),
+            ruu: vec![Slot::EMPTY; entries],
+            head: 0,
+            len: 0,
             lsq_used: 0,
-            unissued_q: Vec::with_capacity(cfg.ruu_entries as usize),
-            unissued: [0; 3],
+            ready: BitSet::new(entries),
+            wakeups: WakeQueue::new(entries),
+            next_in_order: 0,
             fetch_shift: if cfg.fetch_block.is_power_of_two() {
                 cfg.fetch_block.trailing_zeros()
             } else {
                 u32::MAX
             },
-            issue_retry_at: 0,
-            completion: vec![u64::MAX; RING],
             cycle: 0,
             seq: 0,
             fetch_resume: 0,
@@ -186,7 +380,9 @@ impl Pipeline {
     /// [`Pipeline::run`] with event instrumentation: `probe` observes every
     /// cycle, commit, stall, misprediction, assist toggle and memory-system
     /// event, each attributed to the PC and region of the instruction that
-    /// caused it. The built-in [`CpuStats`] accounting runs alongside
+    /// caused it. Idle stretches arrive as one counted
+    /// [`Probe::cycles`]/[`Probe::issue_stalls`]/[`Probe::fetch_stalls`]
+    /// event each. The built-in [`CpuStats`] accounting runs alongside
     /// unconditionally; with [`NullProbe`] this monomorphizes to the plain
     /// [`Pipeline::run`] path.
     pub fn run_probed<P: Probe>(
@@ -201,15 +397,13 @@ impl Pipeline {
         // probe can fan out through one tuple while `self` stays mutable.
         let mut default_probe = std::mem::take(&mut self.stats);
         let mut fan = (&mut default_probe, probe);
-        while !(self.done_fetching && self.ruu.is_empty() && self.staged.is_none()) {
-            if let Some(front) = self.ruu.front() {
-                self.cur_region = front.region;
+        let mut steps = 0u64;
+        while !(self.done_fetching && self.len == 0 && self.staged.is_none()) {
+            self.step(&mut trace, mem, &mut fan);
+            steps += 1;
+            if cfg!(debug_assertions) && steps.is_multiple_of(INVARIANT_PERIOD) {
+                debug_assert_eq!(self.check_invariants(), Ok(()), "cycle {}", self.cycle);
             }
-            fan.cycle(self.cur_region);
-            self.commit(&mut fan);
-            self.issue(mem, &mut fan);
-            self.fetch(&mut trace, mem, &mut fan);
-            self.cycle += 1;
         }
         default_probe.stats.cycles = self.cycle;
         self.stats = default_probe;
@@ -226,130 +420,229 @@ impl Pipeline {
         self.predictor.accuracy()
     }
 
+    /// Skips the idle cycles ahead, if any, then simulates one cycle.
+    fn step<P: Probe>(
+        &mut self,
+        trace: &mut impl Iterator<Item = TraceOp>,
+        mem: &mut MemoryHierarchy,
+        probe: &mut P,
+    ) {
+        if self.len > 0 {
+            self.cur_region = self.ruu[self.head].region;
+        }
+        if let Some(until) = self.idle_until() {
+            self.skip_to(until, probe);
+        }
+        probe.cycles(self.cur_region, 1);
+        self.commit(probe);
+        self.issue(mem, probe);
+        self.fetch(trace, mem, probe);
+        self.cycle += 1;
+    }
+
+    /// Ring position of the op `offset` places younger than the head.
+    fn ring_pos(&self, offset: usize) -> usize {
+        let pos = self.head + offset;
+        if pos >= self.ruu.len() {
+            pos - self.ruu.len()
+        } else {
+            pos
+        }
+    }
+
+    /// Sequence number of the op at ring position `pos`.
+    fn seq_at(&self, pos: usize) -> u64 {
+        let offset =
+            if pos >= self.head { pos - self.head } else { pos + self.ruu.len() - self.head };
+        self.seq - self.len as u64 + offset as u64
+    }
+
+    /// Ring position of the in-flight op `seq`.
+    fn pos_of(&self, seq: u64) -> usize {
+        self.ring_pos((seq - (self.seq - self.len as u64)) as usize)
+    }
+
+    /// Offset from the head of the oldest ready op at offset `from` or
+    /// younger.
+    fn next_ready(&self, from: usize) -> Option<usize> {
+        let limit = self.len.checked_sub(from)?;
+        self.ready.ring_next(self.ring_pos(from), self.ruu.len(), limit).map(|d| from + d)
+    }
+
+    /// Makes the unissued op at `pos` issuable from cycle `at`: ready now
+    /// if `at` has arrived, otherwise queued for wakeup.
+    fn wake(&mut self, pos: usize, at: u64) {
+        if at <= self.cycle {
+            self.ready.insert(pos);
+        } else {
+            self.wakeups.push(pos, at, self.cycle);
+        }
+    }
+
+    /// True when issue would issue something this cycle if no wakeup were
+    /// due: out of order, any ready op; in order, the oldest unissued
+    /// op being ready.
+    fn ready_to_issue(&self) -> bool {
+        match self.cfg.model {
+            CpuModel::OutOfOrder => !self.ready.is_empty(),
+            CpuModel::InOrder => {
+                self.next_in_order < self.seq
+                    && self.ready.contains(self.pos_of(self.next_in_order))
+            }
+        }
+    }
+
+    /// When commit, issue and fetch all provably do nothing this cycle,
+    /// the first later cycle at which one of them can act; nothing changes
+    /// in between. `None` when this cycle may do work.
+    fn idle_until(&self) -> Option<u64> {
+        let now = self.cycle;
+        let mut until = u64::MAX;
+        // Commit waits for the head to issue and complete.
+        if self.len > 0 {
+            let head = &self.ruu[self.head];
+            if head.issued {
+                if head.ready_at <= now {
+                    return None;
+                }
+                until = head.ready_at;
+            }
+        }
+        // Issue waits for a ready op or the next wakeup.
+        if self.ready_to_issue() {
+            return None;
+        }
+        if let Some(at) = self.wakeups.next_due(now) {
+            if at <= now {
+                return None;
+            }
+            until = until.min(at);
+        }
+        // Fetch waits out a mispredict (resolved only by an issue), an
+        // I-cache stall, or a full RUU or LSQ (freed only by a commit).
+        if !(self.done_fetching && self.staged.is_none()) && self.blocked_on.is_none() {
+            if now < self.fetch_resume {
+                until = until.min(self.fetch_resume);
+            } else if !self.dispatch_blocked() {
+                return None;
+            }
+        }
+        assert!(until != u64::MAX, "pipeline deadlocked at cycle {now}");
+        Some(until)
+    }
+
+    /// True when dispatch cannot place another op: the RUU is full, or the
+    /// staged memory op waits for an LSQ entry.
+    fn dispatch_blocked(&self) -> bool {
+        self.len == self.ruu.len()
+            || self
+                .staged
+                .is_some_and(|op| op.kind.is_mem() && self.lsq_used == self.cfg.lsq_entries)
+    }
+
+    /// Jumps over the idle cycles before `until`, charging each to the
+    /// current region and the stall counters exactly as stepping would.
+    fn skip_to<P: Probe>(&mut self, until: u64, probe: &mut P) {
+        let n = until - self.cycle;
+        probe.cycles(self.cur_region, n);
+        if self.len > 0 {
+            probe.issue_stalls(n);
+        }
+        let fetching = !(self.done_fetching && self.staged.is_none());
+        if fetching && (self.blocked_on.is_some() || self.cycle < self.fetch_resume) {
+            probe.fetch_stalls(n);
+        }
+        self.cycle = until;
+    }
+
     fn commit<P: Probe>(&mut self, probe: &mut P) {
-        let mut n = 0;
-        while n < self.cfg.commit_width {
-            let Some(front) = self.ruu.front() else {
-                break;
-            };
-            if !front.issued || front.ready_at > self.cycle {
+        for _ in 0..self.cfg.commit_width {
+            if self.len == 0 {
                 break;
             }
-            let slot = self.ruu.pop_front().expect("front exists");
-            if slot.is_mem {
+            let slot = self.ruu[self.head];
+            if !slot.issued || slot.ready_at > self.cycle {
+                break;
+            }
+            self.head = self.ring_pos(1);
+            self.len -= 1;
+            if slot.class == UnitClass::Mem {
                 self.lsq_used -= 1;
             }
             probe.commit(slot.site(), slot.kind);
-            n += 1;
         }
     }
 
     fn issue<P: Probe>(&mut self, mem: &mut MemoryHierarchy, probe: &mut P) {
-        let Some(front_seq) = self.ruu.front().map(|s| s.seq) else {
-            return;
-        };
-        // After a fruitless scan, nothing in the window can become ready
-        // before the blocking dependencies complete (fetch lowers the bound
-        // when it dispatches an op that could be ready sooner); skip the
-        // provably empty rescans until then.
-        if self.cycle < self.issue_retry_at {
-            probe.issue_stall();
+        if self.len == 0 {
             return;
         }
-        let in_order = self.cfg.model == CpuModel::InOrder;
-        let mut issued = 0;
-        let mut next_ready = u64::MAX;
-        let mut unit_used = [0u32; 3];
-        let unit_limit = [self.cfg.mem_ports, self.cfg.int_units, self.cfg.fp_units];
         let cycle = self.cycle;
+        self.wakeups.drain_into(cycle, &mut self.ready);
+        let in_order = self.cfg.model == CpuModel::InOrder;
+        let unit_limit = [self.cfg.mem_ports, self.cfg.int_units, self.cfg.fp_units];
+        let mut unit_used = [0u32; 3];
+        let mut issued = 0;
         let mut resolved_block: Option<u64> = None;
-        // Stop once every unit class is saturated or has no unissued
-        // candidate left anywhere in the window. The predicate only changes
-        // when an op issues, so it is re-evaluated there, not per slot.
-        let exhausted = |used: &[u32; 3], unissued: &[u32; 3]| {
-            (0..3).all(|c| used[c] >= unit_limit[c] || unissued[c] == 0)
-        };
-        let mut stop = exhausted(&unit_used, &self.unissued);
-        // Walk the ready queue in sequence order — the same candidates, in
-        // the same order, as a front-to-back RUU scan over unissued slots.
-        // Entries whose op issues are dropped by compacting in place; a
-        // break leaves the tail untouched for the next scan.
-        let mut q = std::mem::take(&mut self.unissued_q);
-        let mut read = 0;
-        let mut write = 0;
-        while read < q.len() {
-            if issued == self.cfg.issue_width || stop {
+        let front_seq = self.seq - self.len as u64;
+        // Walk the ready ops oldest first — the candidates a front-to-back
+        // scan would accept, in the same order. Re-searching from the last
+        // position picks up ops woken by a zero-latency producer.
+        let mut from = 0;
+        while issued < self.cfg.issue_width {
+            let Some(offset) = self.next_ready(from) else {
+                break;
+            };
+            from = offset + 1;
+            let seq = front_seq + offset as u64;
+            if in_order && seq != self.next_in_order {
                 break;
             }
-            let entry = q[read];
-            let deps_ready = entry.dep_seq == u64::MAX || {
-                let done = self.completion[(entry.dep_seq % RING as u64) as usize];
-                if done > cycle {
-                    next_ready = next_ready.min(done);
-                }
-                done <= cycle
-            };
-            if !deps_ready {
-                if in_order {
-                    break;
-                }
-                q[write] = entry;
-                write += 1;
-                read += 1;
-                continue;
-            }
-            let class = entry.class as usize;
+            let pos = self.ring_pos(offset);
+            let slot = self.ruu[pos];
+            let class = slot.class as usize;
             if unit_used[class] >= unit_limit[class] {
                 if in_order {
                     break;
                 }
-                q[write] = entry;
-                write += 1;
-                read += 1;
                 continue;
             }
-            let idx = (entry.seq - front_seq) as usize;
-            let (kind, site) = {
-                let slot = &self.ruu[idx];
-                (slot.kind, slot.site())
-            };
-            let latency = match kind {
+            let latency = match slot.kind {
                 OpKind::IntAlu | OpKind::AssistOn | OpKind::AssistOff => self.cfg.int_latency,
                 OpKind::Branch { .. } => self.cfg.int_latency,
                 OpKind::FpAlu => self.cfg.fp_latency,
-                OpKind::Load(a) => mem.data_access_probed(a, false, cycle, site, probe),
-                OpKind::Store(a) => mem.data_access_probed(a, true, cycle, site, probe),
+                OpKind::Load(a) => mem.data_access_probed(a, false, cycle, slot.site(), probe),
+                OpKind::Store(a) => mem.data_access_probed(a, true, cycle, slot.site(), probe),
             };
-            let slot = &mut self.ruu[idx];
+            let done = cycle + latency;
+            self.ready.remove(pos);
+            let slot = &mut self.ruu[pos];
             slot.issued = true;
-            slot.ready_at = cycle + latency;
-            self.completion[(entry.seq % RING as u64) as usize] = cycle + latency;
-            unit_used[class] += 1;
-            self.unissued[class] -= 1;
-            stop = exhausted(&unit_used, &self.unissued);
-            issued += 1;
-            if self.blocked_on == Some(entry.seq) {
-                resolved_block = Some(cycle + latency + self.cfg.mispredict_penalty);
+            slot.ready_at = done;
+            let mut dependent = std::mem::replace(&mut slot.first_dependent, NIL);
+            while dependent != NIL {
+                let d = dependent as usize;
+                dependent = std::mem::replace(&mut self.ruu[d].next_dependent, NIL);
+                self.wake(d, done);
             }
-            read += 1;
+            unit_used[class] += 1;
+            issued += 1;
+            if in_order {
+                self.next_in_order = seq + 1;
+            }
+            if self.blocked_on == Some(seq) {
+                resolved_block = Some(done + self.cfg.mispredict_penalty);
+            }
+            if (0..3).all(|c| unit_used[c] >= unit_limit[c]) {
+                break;
+            }
         }
-        if write < read {
-            q.copy_within(read.., write);
-            q.truncate(q.len() - (read - write));
-        }
-        self.unissued_q = q;
         if let Some(resume) = resolved_block {
             self.blocked_on = None;
             self.fetch_resume = self.fetch_resume.max(resume);
         }
         if issued == 0 {
-            probe.issue_stall();
-            // Valid until fetch adds ops: every unissued slot waits (possibly
-            // transitively) on a dependency whose completion time was seen by
-            // this scan, so `next_ready` lower-bounds the next issue.
-            self.issue_retry_at = if next_ready == u64::MAX { cycle + 1 } else { next_ready };
-        } else {
-            self.issue_retry_at = 0;
+            probe.issue_stalls(1);
         }
     }
 
@@ -363,12 +656,12 @@ impl Pipeline {
             return;
         }
         if self.blocked_on.is_some() || self.cycle < self.fetch_resume {
-            probe.fetch_stall();
+            probe.fetch_stalls(1);
             return;
         }
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width {
-            if self.ruu.len() == self.cfg.ruu_entries as usize {
+            if self.len == self.ruu.len() {
                 break;
             }
             let op = match self.staged.take().or_else(|| trace.next()) {
@@ -378,8 +671,8 @@ impl Pipeline {
                     break;
                 }
             };
-            let is_mem = op.kind.is_mem();
-            if is_mem && self.lsq_used == self.cfg.lsq_entries {
+            let class = UnitClass::of(op.kind);
+            if class == UnitClass::Mem && self.lsq_used == self.cfg.lsq_entries {
                 self.staged = Some(op);
                 break;
             }
@@ -415,54 +708,134 @@ impl Pipeline {
                 }
                 _ => {}
             }
-            let dep_seq = if op.dep == 0 || (op.dep as u64) > self.seq || op.dep as usize >= RING {
-                None
-            } else {
-                Some(self.seq - op.dep as u64)
-            };
-            self.completion[(self.seq % RING as u64) as usize] = u64::MAX;
-            let class = UnitClass::of(op.kind);
-            self.unissued[class as usize] += 1;
-            self.unissued_q.push(IssueEntry {
-                seq: self.seq,
-                dep_seq: dep_seq.unwrap_or(u64::MAX),
-                class,
-            });
-            // A dispatched op may be issueable before the current retry
-            // bound: immediately if its dependency is absent or complete, at
-            // the dependency's completion when that is already known. A dep
-            // still waiting to issue cannot complete before the bound (it is
-            // itself covered by it), so it leaves the bound unchanged.
-            let ready_bound = match dep_seq {
-                None => self.cycle + 1,
-                Some(d) => {
-                    let done = self.completion[(d % RING as u64) as usize];
-                    if done == u64::MAX {
-                        u64::MAX
-                    } else {
-                        done.max(self.cycle + 1)
-                    }
-                }
-            };
-            self.issue_retry_at = self.issue_retry_at.min(ready_bound);
-            self.ruu.push_back(Slot {
-                seq: self.seq,
-                pc: op.pc,
-                region: op.region,
-                kind: op.kind,
-                issued: false,
-                ready_at: 0,
-                is_mem,
-            });
-            if is_mem {
-                self.lsq_used += 1;
-            }
-            self.seq += 1;
+            self.dispatch(op, class);
             fetched += 1;
             if self.blocked_on.is_some() || self.cycle < self.fetch_resume {
                 break;
             }
         }
+    }
+
+    /// Appends `op` to the RUU and files it in exactly one waiting place:
+    /// the ready set when it has no in-flight producer or the producer has
+    /// completed, the wake heap when the producer's completion is known,
+    /// and the producer's dependent list while the producer is unissued.
+    fn dispatch(&mut self, op: TraceOp, class: UnitClass) {
+        let front_seq = self.seq - self.len as u64;
+        let dep = u64::from(op.dep);
+        // A producer older than the RUU head has committed, so it is
+        // complete; one beyond the horizon counts as no dependence.
+        let producer = (dep != 0 && dep <= self.seq && dep < DEP_HORIZON)
+            .then(|| self.seq - dep)
+            .filter(|&p| p >= front_seq)
+            .map(|p| self.ring_pos((p - front_seq) as usize));
+        let pos = self.ring_pos(self.len);
+        self.ruu[pos] = Slot { pc: op.pc, kind: op.kind, region: op.region, class, ..Slot::EMPTY };
+        self.len += 1;
+        self.seq += 1;
+        if class == UnitClass::Mem {
+            self.lsq_used += 1;
+        }
+        match producer {
+            Some(p) if !self.ruu[p].issued => {
+                self.ruu[pos].next_dependent = self.ruu[p].first_dependent;
+                self.ruu[p].first_dependent = pos as u32;
+            }
+            Some(p) => self.wake(pos, self.ruu[p].ready_at),
+            None => self.ready.insert(pos),
+        }
+    }
+
+    /// Checks that every unissued op waits in exactly one place — the
+    /// ready set, the wake queue, or its producer's dependent list — and no
+    /// issued op waits anywhere. Run periodically by debug builds.
+    fn check_invariants(&self) -> Result<(), String> {
+        let cap = self.ruu.len();
+        let front_seq = self.seq - self.len as u64;
+        let occupied = |pos: usize| {
+            let offset = if pos >= self.head { pos - self.head } else { pos + cap - self.head };
+            offset < self.len
+        };
+        let mut places = vec![0u32; cap];
+        let mut ready_bits = 0;
+        for (pos, n) in places.iter_mut().enumerate() {
+            if self.ready.contains(pos) {
+                *n += 1;
+                ready_bits += 1;
+            }
+        }
+        if ready_bits != self.ready.len {
+            return Err(format!("ready set counts {} ops but holds {ready_bits}", self.ready.len));
+        }
+        // The wheel bucket of the cycle just simulated has been drained.
+        let q = &self.wakeups;
+        let last = (self.cycle.wrapping_sub(1) % WHEEL) as usize;
+        if q.buckets[last] != NIL
+            || q.buckets
+                .iter()
+                .enumerate()
+                .any(|(b, &head)| q.occupied.contains(b) == (head == NIL))
+        {
+            return Err("wake wheel occupancy is stale".into());
+        }
+        let mut queued: Vec<usize> = q.heap.iter().map(|&Reverse((_, pos))| pos as usize).collect();
+        if q.heap.peek().is_some_and(|&Reverse((at, _))| at < self.cycle) {
+            return Err("wake heap holds an overdue op".into());
+        }
+        for &head in &q.buckets {
+            let mut pos = head;
+            while pos != NIL && queued.len() <= cap {
+                queued.push(pos as usize);
+                pos = q.link[pos as usize];
+            }
+        }
+        for pos in queued {
+            if pos >= cap || !occupied(pos) {
+                return Err(format!("wake queue holds free position {pos}"));
+            }
+            places[pos] += 1;
+        }
+        for offset in 0..self.len {
+            let pos = self.ring_pos(offset);
+            let mut d = self.ruu[pos].first_dependent;
+            let mut hops = 0;
+            while d != NIL {
+                let dpos = d as usize;
+                if dpos >= cap || !occupied(dpos) || self.seq_at(dpos) <= front_seq + offset as u64
+                {
+                    return Err(format!("op {} lists a bad dependent at {dpos}", self.seq_at(pos)));
+                }
+                places[dpos] += 1;
+                hops += 1;
+                if hops > self.len {
+                    return Err(format!("op {}'s dependent list loops", self.seq_at(pos)));
+                }
+                d = self.ruu[dpos].next_dependent;
+            }
+        }
+        for (pos, &n) in places.iter().enumerate() {
+            let want = u32::from(occupied(pos) && !self.ruu[pos].issued);
+            if n != want {
+                let what = if occupied(pos) {
+                    format!("op {}", self.seq_at(pos))
+                } else {
+                    "a free slot".into()
+                };
+                return Err(format!(
+                    "{what} at position {pos} waits in {n} places, expected {want}"
+                ));
+            }
+        }
+        if self.cfg.model == CpuModel::InOrder {
+            for offset in 0..self.len {
+                let pos = self.ring_pos(offset);
+                let seq = front_seq + offset as u64;
+                if self.ruu[pos].issued != (seq < self.next_in_order) {
+                    return Err(format!("in-order issue left op {seq} out of sequence"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -639,6 +1012,36 @@ mod tests {
         cfg.model = CpuModel::InOrder;
         let ino = Pipeline::new(cfg).run(mk(), &mut m2);
         assert!(ino.cycles > ooo.cycles, "in-order {} ooo {}", ino.cycles, ooo.cycles);
+    }
+
+    #[test]
+    fn invariant_check_catches_misplaced_ops() {
+        // A missing load and a chain of dependents: once all are
+        // dispatched, the load has issued, its consumer waits in the wake
+        // queue and the rest on their producers' dependent lists.
+        let mut ops = vec![TraceOp::new(0x40_0000, OpKind::Load(Addr(0x1000_0000)))];
+        ops.extend((0..6).map(|_| TraceOp::with_dep(0x40_0004, OpKind::IntAlu, 1)));
+        let mut m = mem();
+        let mut p = Pipeline::new(CpuConfig::paper_base());
+        let mut trace = ops.into_iter();
+        for _ in 0..50 {
+            if p.len == 7 {
+                break;
+            }
+            p.step(&mut trace, &mut m, &mut NullProbe);
+        }
+        assert_eq!(p.len, 7, "all ops dispatched");
+        assert!(p.ruu[p.head].issued && p.ready.is_empty());
+        assert_eq!(p.check_invariants(), Ok(()));
+        // An op on a dependent list must not also be ready.
+        let waiting = p.ring_pos(3);
+        p.ready.insert(waiting);
+        assert!(p.check_invariants().is_err());
+        p.ready.remove(waiting);
+        assert_eq!(p.check_invariants(), Ok(()));
+        // An unissued op must wait somewhere.
+        p.ruu[p.head].issued = false;
+        assert!(p.check_invariants().is_err());
     }
 
     #[test]
