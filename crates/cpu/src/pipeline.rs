@@ -146,7 +146,25 @@ impl BitSet {
     /// Walking a ring of `size` positions from `start` (wrapping at
     /// `size`), the distance `d < limit` to the first member.
     fn ring_next(&self, start: usize, size: usize, limit: usize) -> Option<usize> {
+        debug_assert!(start < size && limit <= size);
         let end = start + limit;
+        if let [word] = self.words[..] {
+            // One word holds the whole ring: no loop.
+            let ahead = word >> start;
+            let d = if ahead != 0 {
+                ahead.trailing_zeros() as usize
+            } else if end > size {
+                // `end - size <= start < 64`: the wrapped part precedes `start`.
+                let wrapped = word & ((1 << (end - size)) - 1);
+                if wrapped == 0 {
+                    return None;
+                }
+                wrapped.trailing_zeros() as usize + size - start
+            } else {
+                return None;
+            };
+            return (d < limit).then_some(d);
+        }
         if end <= size {
             return self.first_in(start, end).map(|pos| pos - start);
         }
@@ -512,12 +530,6 @@ impl Pipeline {
         if self.ready_to_issue() {
             return None;
         }
-        if let Some(at) = self.wakeups.next_due(now) {
-            if at <= now {
-                return None;
-            }
-            until = until.min(at);
-        }
         // Fetch waits out a mispredict (resolved only by an issue), an
         // I-cache stall, or a full RUU or LSQ (freed only by a commit).
         if !(self.done_fetching && self.staged.is_none()) && self.blocked_on.is_none() {
@@ -526,6 +538,12 @@ impl Pipeline {
             } else if !self.dispatch_blocked() {
                 return None;
             }
+        }
+        if let Some(at) = self.wakeups.next_due(now) {
+            if at <= now {
+                return None;
+            }
+            until = until.min(at);
         }
         assert!(until != u64::MAX, "pipeline deadlocked at cycle {now}");
         Some(until)
