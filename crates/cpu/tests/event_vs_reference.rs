@@ -221,6 +221,7 @@ mod reference {
                     }
                     _ => {}
                 }
+                // Dependences reaching 1024 or more ops back count as none.
                 let d = u64::from(op.dep);
                 let dep = (d != 0 && d <= self.seq && d < 1024).then(|| self.seq - d);
                 if op.kind.is_mem() {
