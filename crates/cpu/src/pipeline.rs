@@ -246,10 +246,7 @@ impl WakeQueue {
             .ring_next((now % WHEEL) as usize, WHEEL as usize, WHEEL as usize)
             .map(|d| now + d as u64);
         let heap = self.heap.peek().map(|&Reverse((at, _))| at);
-        match (wheel, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        wheel.into_iter().chain(heap).min()
     }
 }
 
@@ -601,7 +598,6 @@ impl Pipeline {
         let unit_limit = [self.cfg.mem_ports, self.cfg.int_units, self.cfg.fp_units];
         let mut unit_used = [0u32; 3];
         let mut issued = 0;
-        let mut resolved_block: Option<u64> = None;
         let front_seq = self.seq - self.len as u64;
         // Walk the ready ops oldest first — the candidates a front-to-back
         // scan would accept, in the same order. Re-searching from the last
@@ -649,15 +645,12 @@ impl Pipeline {
                 self.next_in_order = seq + 1;
             }
             if self.blocked_on == Some(seq) {
-                resolved_block = Some(done + self.cfg.mispredict_penalty);
+                self.blocked_on = None;
+                self.fetch_resume = self.fetch_resume.max(done + self.cfg.mispredict_penalty);
             }
             if (0..3).all(|c| unit_used[c] >= unit_limit[c]) {
                 break;
             }
-        }
-        if let Some(resume) = resolved_block {
-            self.blocked_on = None;
-            self.fetch_resume = self.fetch_resume.max(resume);
         }
         if issued == 0 {
             probe.issue_stalls(1);
