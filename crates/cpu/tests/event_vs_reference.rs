@@ -240,6 +240,9 @@ mod reference {
 /// Counts every pipeline-level event the cores report.
 #[derive(Debug, Default, PartialEq)]
 struct Events {
+    /// `cycles` calls: one per cycle from the reference, fewer from a
+    /// pipeline that skips idle stretches.
+    cycle_events: u64,
     region_cycles: BTreeMap<RegionId, u64>,
     issue_stalls: u64,
     fetch_stalls: u64,
@@ -252,6 +255,7 @@ struct Events {
 impl Probe for Events {
     fn cycles(&mut self, region: RegionId, n: u64) {
         assert!(n >= 1, "counted events carry at least one cycle");
+        self.cycle_events += 1;
         *self.region_cycles.entry(region).or_default() += n;
     }
     fn issue_stalls(&mut self, n: u64) {
@@ -449,7 +453,14 @@ fn long_miss_chains_match_the_reference_core() {
         for model in [CpuModel::OutOfOrder, CpuModel::InOrder] {
             let cpu = CpuConfig { ruu_entries: ruu, model, ..CpuConfig::paper_base() };
             let label = format!("ruu {ruu} {model:?}");
-            assert_same(&label, &run_event(cpu, &mem, &trace), &run_reference(cpu, &mem, &trace));
+            let (event, reference) =
+                (run_event(cpu, &mem, &trace), run_reference(cpu, &mem, &trace));
+            assert_same(&label, &event, &reference);
+            assert_eq!(reference.events.cycle_events, reference.cpu.cycles);
+            assert!(
+                event.events.cycle_events < event.cpu.cycles / 2,
+                "{label}: idle cycles were not skipped"
+            );
         }
     }
 }
