@@ -30,8 +30,8 @@ const DEP_HORIZON: u64 = 1024;
 /// End-of-list marker for the intrusive ring-position lists.
 const NIL: u32 = u32::MAX;
 
-/// Cycles ahead the wake queue's timing wheel covers (a paper-machine
-/// memory miss fits); later wakeups go to its heap.
+/// Cycles ahead the wake queue's timing wheel covers (an uncontended
+/// paper-machine memory miss fits); later wakeups go to its heap.
 const WHEEL: u64 = 256;
 
 /// Executed (not skipped) cycles between invariant checks in debug builds.
