@@ -30,10 +30,6 @@ const DEP_HORIZON: u64 = 1024;
 /// End-of-list marker for the intrusive ring-position lists.
 const NIL: u32 = u32::MAX;
 
-/// Cycles ahead the wake queue's timing wheel covers (an uncontended
-/// paper-machine memory miss fits); later wakeups go to its heap.
-const WHEEL: u64 = 256;
-
 /// Executed (not skipped) cycles between invariant checks in debug builds.
 const INVARIANT_PERIOD: u64 = 32;
 
@@ -90,8 +86,8 @@ impl UnitClass {
     }
 }
 
-/// A fixed-size set of small integers — RUU ring positions or wheel
-/// buckets — with an ordered search for the next member.
+/// A set of RUU ring positions with a search for the next member in ring
+/// order. The ring is the whole set: a power-of-two number of words.
 #[derive(Debug, Clone)]
 struct BitSet {
     words: Vec<u64>,
@@ -100,7 +96,8 @@ struct BitSet {
 
 impl BitSet {
     fn new(positions: usize) -> Self {
-        BitSet { words: vec![0; positions.div_ceil(64)], len: 0 }
+        debug_assert!(positions.is_power_of_two() && positions >= 64);
+        BitSet { words: vec![0; positions / 64], len: 0 }
     }
 
     fn is_empty(&self) -> bool {
@@ -123,113 +120,45 @@ impl BitSet {
         self.len -= 1;
     }
 
-    /// The lowest member in `lo..hi`.
-    fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
-        }
-        let mut w = lo / 64;
-        let mut bits = self.words[w] & (!0 << (lo % 64));
-        loop {
+    /// Walking the ring from `start`, the distance `d < limit` to the
+    /// first member.
+    fn ring_next(&self, start: usize, limit: usize) -> Option<usize> {
+        let (first, skip) = (start / 64, start % 64);
+        let mask = self.words.len() - 1;
+        let mut bits = self.words[first] & (!0 << skip);
+        // Word `k` past `first` starts `64 * k - skip` positions ahead; the
+        // last pass revisits `first` for the positions before `start`.
+        for k in 1..=self.words.len() + 1 {
             if bits != 0 {
-                let pos = w * 64 + bits.trailing_zeros() as usize;
-                return (pos < hi).then_some(pos);
+                let d = 64 * (k - 1) + bits.trailing_zeros() as usize - skip;
+                return (d < limit).then_some(d);
             }
-            w += 1;
-            if w * 64 >= hi {
+            if 64 * k - skip >= limit {
                 return None;
             }
-            bits = self.words[w];
+            bits = self.words[(first + k) & mask];
         }
-    }
-
-    /// Walking a ring of `size` positions from `start` (wrapping at
-    /// `size`), the distance `d < limit` to the first member.
-    fn ring_next(&self, start: usize, size: usize, limit: usize) -> Option<usize> {
-        debug_assert!(start < size && limit <= size);
-        let end = start + limit;
-        if let [word] = self.words[..] {
-            // One word holds the whole ring: no loop.
-            let ahead = word >> start;
-            let d = if ahead != 0 {
-                ahead.trailing_zeros() as usize
-            } else if end > size {
-                // `end - size <= start < 64`: the wrapped part precedes `start`.
-                let wrapped = word & ((1 << (end - size)) - 1);
-                if wrapped == 0 {
-                    return None;
-                }
-                wrapped.trailing_zeros() as usize + size - start
-            } else {
-                return None;
-            };
-            return (d < limit).then_some(d);
-        }
-        if end <= size {
-            return self.first_in(start, end).map(|pos| pos - start);
-        }
-        self.first_in(start, size)
-            .map(|pos| pos - start)
-            .or_else(|| self.first_in(0, end - size).map(|pos| pos + size - start))
+        None
     }
 }
 
 /// The wake queue: unissued ops whose producer has issued but not yet
-/// completed, keyed by the cycle their operand becomes available. Wakeups
-/// due within [`WHEEL`] cycles — ALU results, cache hits, most misses —
-/// sit in a timing wheel of per-cycle buckets with O(1) insert and drain;
-/// later ones in a min-heap keyed by `(ready cycle, ring position)`. Only
+/// completed, in a min-heap keyed by `(ready cycle, ring position)`. Only
 /// the ready cycle matters: due entries drain into the ready set, which
 /// restores sequence order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct WakeQueue {
-    /// Bucket `c % WHEEL` heads the list of ops due at cycle `c`.
-    buckets: Vec<u32>,
-    /// The non-empty buckets.
-    occupied: BitSet,
-    /// Next op in the same bucket, per ring position.
-    link: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl WakeQueue {
-    fn new(positions: usize) -> Self {
-        WakeQueue {
-            buckets: vec![NIL; WHEEL as usize],
-            occupied: BitSet::new(WHEEL as usize),
-            link: vec![NIL; positions],
-            heap: BinaryHeap::new(),
-        }
+    /// Queues the op at `pos` to become ready at cycle `at`.
+    fn push(&mut self, pos: usize, at: u64) {
+        self.heap.push(Reverse((at, pos as u32)));
     }
 
-    /// Queues the op at `pos` to become ready at cycle `at > now`.
-    fn push(&mut self, pos: usize, at: u64, now: u64) {
-        debug_assert!(at > now, "a wakeup must lie in the future");
-        if at - now < WHEEL {
-            let b = (at % WHEEL) as usize;
-            if self.buckets[b] == NIL {
-                self.occupied.insert(b);
-            }
-            self.link[pos] = self.buckets[b];
-            self.buckets[b] = pos as u32;
-        } else {
-            self.heap.push(Reverse((at, pos as u32)));
-        }
-    }
-
-    /// Moves every op due at `now` into `ready`. Called at every cycle an
-    /// entry falls due, so the wheel only ever holds the next `WHEEL`
-    /// cycles.
+    /// Moves every op due at or before `now` into `ready`.
     fn drain_into(&mut self, now: u64, ready: &mut BitSet) {
-        let b = (now % WHEEL) as usize;
-        if self.buckets[b] != NIL {
-            self.occupied.remove(b);
-            let mut pos = std::mem::replace(&mut self.buckets[b], NIL);
-            while pos != NIL {
-                ready.insert(pos as usize);
-                pos = self.link[pos as usize];
-            }
-        }
         while let Some(&Reverse((at, pos))) = self.heap.peek() {
             if at > now {
                 break;
@@ -239,14 +168,9 @@ impl WakeQueue {
         }
     }
 
-    /// The earliest cycle at or after `now` at which an op falls due.
-    fn next_due(&self, now: u64) -> Option<u64> {
-        let wheel = self
-            .occupied
-            .ring_next((now % WHEEL) as usize, WHEEL as usize, WHEEL as usize)
-            .map(|d| now + d as u64);
-        let heap = self.heap.peek().map(|&Reverse((at, _))| at);
-        wheel.into_iter().chain(heap).min()
+    /// The earliest cycle at which a queued op falls due.
+    fn next_due(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((at, _))| at)
     }
 }
 
@@ -261,14 +185,13 @@ impl WakeQueue {
 /// - **Wakeup issue.** Every unissued op waits in exactly one place: the
 ///   *ready set* (a bitset over RUU ring positions, any RUU size) when its
 ///   operand is available, the *dependent list* of its producer while
-///   that producer has not issued, or the *wake queue* — a timing wheel
-///   for the next 256 cycles backed by a min-heap keyed by ready cycle —
-///   while the producer's completion time is known but still in the
-///   future. Issuing a producer moves its dependents into the wake queue;
-///   each cycle moves the due entries into the ready set. Issue walks only
-///   the set bits, in sequence order, under the scan's width, unit and
-///   in-order rules — so the memory hierarchy sees the same accesses in
-///   the same order.
+///   that producer has not issued, or the *wake queue* — a min-heap keyed
+///   by ready cycle — while the producer's completion time is known but
+///   still in the future. Issuing a producer moves its dependents into the
+///   wake queue; each cycle moves the due entries into the ready set.
+///   Issue walks only the set bits, in sequence order, under the scan's
+///   width, unit and in-order rules — so the memory hierarchy sees the
+///   same accesses in the same order.
 /// - **Idle-cycle skipping.** When commit, issue and fetch provably do
 ///   nothing in a cycle, nothing changes until the earliest of the head's
 ///   completion, the next wakeup, and the end of a fetch stall.
@@ -296,8 +219,11 @@ pub struct Pipeline {
     cfg: CpuConfig,
     predictor: Predictor,
     stats: CpuStatsProbe,
-    /// The RUU as a ring of `ruu_entries` slots; the oldest op sits at
-    /// `head` and the op `k` places younger at `(head + k) % ruu_entries`.
+    /// The RUU as a ring of slots, at most `ruu_entries` of them in use;
+    /// the oldest op sits at `head` and the op `k` places younger at
+    /// `(head + k) % ruu.len()`. The length is a power of two and at least
+    /// 64, so ring positions wrap with a mask and at a ready-set word
+    /// boundary.
     ruu: Vec<Slot>,
     head: usize,
     len: usize,
@@ -336,16 +262,16 @@ impl Pipeline {
         if let Err(e) = cfg.validate() {
             panic!("invalid CpuConfig: {e}");
         }
-        let entries = cfg.ruu_entries as usize;
+        let positions = (cfg.ruu_entries as usize).next_power_of_two().max(64);
         Pipeline {
             predictor: Predictor::from_config(&cfg),
             stats: CpuStatsProbe::default(),
-            ruu: vec![Slot::EMPTY; entries],
+            ruu: vec![Slot::EMPTY; positions],
             head: 0,
             len: 0,
             lsq_used: 0,
-            ready: BitSet::new(entries),
-            wakeups: WakeQueue::new(entries),
+            ready: BitSet::new(positions),
+            wakeups: WakeQueue::default(),
             next_in_order: 0,
             fetch_shift: if cfg.fetch_block.is_power_of_two() {
                 cfg.fetch_block.trailing_zeros()
@@ -457,19 +383,17 @@ impl Pipeline {
 
     /// Ring position of the op `offset` places younger than the head.
     fn ring_pos(&self, offset: usize) -> usize {
-        let pos = self.head + offset;
-        if pos >= self.ruu.len() {
-            pos - self.ruu.len()
-        } else {
-            pos
-        }
+        (self.head + offset) & (self.ruu.len() - 1)
+    }
+
+    /// Places from the head to ring position `pos`.
+    fn offset_of(&self, pos: usize) -> usize {
+        pos.wrapping_sub(self.head) & (self.ruu.len() - 1)
     }
 
     /// Sequence number of the op at ring position `pos`.
     fn seq_at(&self, pos: usize) -> u64 {
-        let offset =
-            if pos >= self.head { pos - self.head } else { pos + self.ruu.len() - self.head };
-        self.seq - self.len as u64 + offset as u64
+        self.seq - self.len as u64 + self.offset_of(pos) as u64
     }
 
     /// Ring position of the in-flight op `seq`.
@@ -481,7 +405,7 @@ impl Pipeline {
     /// younger.
     fn next_ready(&self, from: usize) -> Option<usize> {
         let limit = self.len.checked_sub(from)?;
-        self.ready.ring_next(self.ring_pos(from), self.ruu.len(), limit).map(|d| from + d)
+        self.ready.ring_next(self.ring_pos(from), limit).map(|d| from + d)
     }
 
     /// Makes the unissued op at `pos` issuable from cycle `at`: ready now
@@ -490,7 +414,7 @@ impl Pipeline {
         if at <= self.cycle {
             self.ready.insert(pos);
         } else {
-            self.wakeups.push(pos, at, self.cycle);
+            self.wakeups.push(pos, at);
         }
     }
 
@@ -536,7 +460,7 @@ impl Pipeline {
                 return None;
             }
         }
-        if let Some(at) = self.wakeups.next_due(now) {
+        if let Some(at) = self.wakeups.next_due() {
             if at <= now {
                 return None;
             }
@@ -549,7 +473,7 @@ impl Pipeline {
     /// True when dispatch cannot place another op: the RUU is full, or the
     /// staged memory op waits for an LSQ entry.
     fn dispatch_blocked(&self) -> bool {
-        self.len == self.ruu.len()
+        self.len == self.cfg.ruu_entries as usize
             || self
                 .staged
                 .is_some_and(|op| op.kind.is_mem() && self.lsq_used == self.cfg.lsq_entries)
@@ -672,7 +596,7 @@ impl Pipeline {
         }
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width {
-            if self.len == self.ruu.len() {
+            if self.len == self.cfg.ruu_entries as usize {
                 break;
             }
             let op = match self.staged.take().or_else(|| trace.next()) {
@@ -763,10 +687,7 @@ impl Pipeline {
     fn check_invariants(&self) -> Result<(), String> {
         let cap = self.ruu.len();
         let front_seq = self.seq - self.len as u64;
-        let occupied = |pos: usize| {
-            let offset = if pos >= self.head { pos - self.head } else { pos + cap - self.head };
-            offset < self.len
-        };
+        let occupied = |pos: usize| self.offset_of(pos) < self.len;
         let mut places = vec![0u32; cap];
         let mut ready_bits = 0;
         for (pos, n) in places.iter_mut().enumerate() {
@@ -778,29 +699,11 @@ impl Pipeline {
         if ready_bits != self.ready.len {
             return Err(format!("ready set counts {} ops but holds {ready_bits}", self.ready.len));
         }
-        // The wheel bucket of the cycle just simulated has been drained.
-        let q = &self.wakeups;
-        let last = (self.cycle.wrapping_sub(1) % WHEEL) as usize;
-        if q.buckets[last] != NIL
-            || q.buckets
-                .iter()
-                .enumerate()
-                .any(|(b, &head)| q.occupied.contains(b) == (head == NIL))
-        {
-            return Err("wake wheel occupancy is stale".into());
+        let heap = &self.wakeups.heap;
+        if heap.peek().is_some_and(|&Reverse((at, _))| at < self.cycle) {
+            return Err("wake queue holds an overdue op".into());
         }
-        let mut queued: Vec<usize> = q.heap.iter().map(|&Reverse((_, pos))| pos as usize).collect();
-        if q.heap.peek().is_some_and(|&Reverse((at, _))| at < self.cycle) {
-            return Err("wake heap holds an overdue op".into());
-        }
-        for &head in &q.buckets {
-            let mut pos = head;
-            while pos != NIL && queued.len() <= cap {
-                queued.push(pos as usize);
-                pos = q.link[pos as usize];
-            }
-        }
-        for pos in queued {
+        for pos in heap.iter().map(|&Reverse((_, pos))| pos as usize) {
             if pos >= cap || !occupied(pos) {
                 return Err(format!("wake queue holds free position {pos}"));
             }
@@ -1053,6 +956,24 @@ mod tests {
         // An unissued op must wait somewhere.
         p.ruu[p.head].issued = false;
         assert!(p.check_invariants().is_err());
+    }
+
+    #[test]
+    fn ring_search_wraps_and_respects_the_limit() {
+        for positions in [64, 128, 256] {
+            for members in [vec![], vec![0], vec![63], vec![5, 64, 127], vec![1, 100, 200, 255]] {
+                let mut set = BitSet::new(positions);
+                for &m in members.iter().filter(|&&m| m < positions) {
+                    set.insert(m);
+                }
+                for start in 0..positions {
+                    for limit in [0, 1, 2, 63, 64, 65, positions - 1, positions] {
+                        let naive = (0..limit).find(|d| set.contains((start + d) % positions));
+                        assert_eq!(set.ring_next(start, limit), naive, "{positions} {start}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! memo), and fetches — and it never skips a cycle. Both cores run the
 //! same random traces (dependences, assist markers, branches, hits and
 //! misses) over random valid configurations: RUU sizes from 1 to 160
-//! (including 65 and 100, which straddle bitset words), widths 1–8, unit
-//! counts 1–4, ALU latencies 1–6, both timing models and both predictors,
-//! and memory latencies on both sides of the wake queue's wheel horizon.
+//! (including 65 and 100, which fill only part of a two-word ring),
+//! widths 1–8, unit counts 1–4, ALU latencies 1–6, both timing models and
+//! both predictors, and memory latencies from 8 to 600 cycles.
 //! They must agree on `CpuStats`, `HierarchyStats`, and every counted
 //! event: per-region cycles, issue and fetch stalls, the commit stream,
 //! and the order of the accesses the hierarchy sees.
@@ -330,8 +330,8 @@ fn random_mem(rng: &mut Rng) -> HierarchyConfig {
     let assist =
         rng.pick(&[AssistKind::None, AssistKind::Bypass, AssistKind::Victim, AssistKind::Stream]);
     let mut cfg = HierarchyConfig::paper_base(assist);
-    // Memory latencies below and above the wake wheel's 256 cycles; a
-    // zero L1 latency lets a hit complete in the cycle it issues.
+    // Memory latencies from a few cycles to several hundred; a zero L1
+    // latency lets a hit complete in the cycle it issues.
     cfg.mem_latency = rng.pick(&[8, 40, 100, 300, 600]);
     cfg.dram_hit_latency = cfg.dram_hit_latency.min(cfg.mem_latency);
     cfg.l1_latency = rng.pick(&[0, 1, 2, 3]);

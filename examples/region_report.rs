@@ -5,9 +5,9 @@
 //! user probe can answer questions the built-in statistics don't — here,
 //! *which arrays* the bypass assist diverts around the L1, per region.
 //! Cycle and stall events are counted: the pipeline skips idle stretches
-//! and reports each as one event covering all of its cycles, so the probe
-//! adds `n` per call. The example also prints the built-in per-region
-//! report for comparison.
+//! and reports each as one event covering all of its cycles, so a probe
+//! that counts them adds `n` per call. The example also prints the
+//! built-in per-region report for comparison.
 //!
 //! ```text
 //! cargo run --release --example region_report [-- <benchmark>]
@@ -20,14 +20,12 @@ use selcache::ir::{ArrayId, Interp, Program};
 use selcache::mem::{AssistEvent, HierarchyConfig, MemoryHierarchy, Probe, Site};
 use selcache::workloads::{Benchmark, Scale};
 
-/// A user-written probe: bypassed fills and buffer hits, per array, and
-/// the cycles in which nothing could issue.
+/// A user-written probe: bypassed fills and buffer hits, per array.
 struct BypassByArray {
     names: Vec<String>,
     ranges: Vec<(u64, u64)>,
     bypassed: Vec<u64>,
     buffer_hits: Vec<u64>,
-    issue_stalls: u64,
 }
 
 impl BypassByArray {
@@ -47,7 +45,6 @@ impl BypassByArray {
             bypassed: vec![0; ranges.len()],
             buffer_hits: vec![0; ranges.len()],
             ranges,
-            issue_stalls: 0,
         }
     }
 
@@ -66,10 +63,6 @@ impl Probe for BypassByArray {
             AssistEvent::BufferHit => self.buffer_hits[k] += 1,
             _ => {}
         }
-    }
-
-    fn issue_stalls(&mut self, n: u64) {
-        self.issue_stalls += n;
     }
 }
 
@@ -91,13 +84,6 @@ fn main() {
     );
 
     println!("{benchmark} (selective, bypass assist): {}", stats);
-    assert_eq!(probe.issue_stalls, stats.issue_stall_cycles, "counted stalls cover every cycle");
-    println!(
-        "issue stalled in {} of {} cycles ({:.1}%)",
-        probe.issue_stalls,
-        stats.cycles,
-        probe.issue_stalls as f64 / stats.cycles.max(1) as f64 * 100.0
-    );
     println!();
     println!("{:<12} {:>10} {:>12}", "array", "bypassed", "buffer hits");
     for (k, name) in probe.names.iter().enumerate() {
