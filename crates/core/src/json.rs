@@ -55,7 +55,7 @@ impl Json {
     /// back to [`Json::Num`]. `null` parses as a non-finite [`Json::Num`]
     /// (matching what the renderer emits for NaN).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -136,6 +136,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -274,13 +275,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -453,6 +455,15 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         let err = Json::parse("nope").unwrap_err();
         assert!(err.to_string().contains("at byte"), "{err}");
+    }
+
+    #[test]
+    fn parse_strings_mix_runs_escapes_and_multibyte_chars() {
+        let v = Json::parse(r#"["", "plain", "a\"b\\c\nd", "π≈3.14 ✓", "éx\"é"]"#).unwrap();
+        let strs: Vec<&str> = v.as_arr().unwrap().iter().map(|s| s.as_str().unwrap()).collect();
+        assert_eq!(strs, ["", "plain", "a\"b\\c\nd", "π≈3.14 ✓", "éx\"é"]);
+        let long = "é-".repeat(50_000);
+        assert_eq!(Json::parse(&Json::str(long.clone()).to_string()).unwrap(), Json::str(long));
     }
 
     #[test]

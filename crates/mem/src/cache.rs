@@ -1,9 +1,12 @@
 //! Set-associative cache model with three-C miss classification.
 
-use crate::lru::LruSet;
+use crate::shadow::StampLru;
 use crate::stats::{CacheStats, MissClass};
 use crate::table::PagedBits;
 use selcache_ir::Addr;
+
+/// Accesses between two invariant checks in test and debug builds.
+const INVARIANT_PERIOD: u64 = 1 << 12;
 
 /// Replacement policy for a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -62,8 +65,11 @@ struct Line {
 pub enum Lookup {
     /// The block was present.
     Hit,
-    /// The block was absent, with its three-C classification (only when
-    /// classification is enabled; [`MissClass::Capacity`] otherwise).
+    /// The block was absent. A block's first miss is
+    /// [`MissClass::Compulsory`] in every cache; later misses are split into
+    /// [`MissClass::Conflict`] and [`MissClass::Capacity`] only with
+    /// classification enabled ([`Cache::with_classification`]) and are all
+    /// [`MissClass::Capacity`] otherwise.
     Miss(MissClass),
 }
 
@@ -76,7 +82,7 @@ impl Lookup {
 
 /// Checkpoint of a cache's functional state: tag/valid/dirty arrays,
 /// replacement metadata (LRU stamps, MRU hints, PLRU bits, random-policy
-/// RNG), and the classification shadow structures. Statistics counters are
+/// RNG), and the miss-classification state. Statistics counters are
 /// **not** part of a snapshot — restoring rewinds *state*, not accounting,
 /// so a warmup pass followed by [`Cache::restore`] leaves the miss counters
 /// measuring exactly what ran after the restore point (callers difference
@@ -89,9 +95,20 @@ pub struct CacheSnapshot {
     plru: Vec<u64>,
     stamp: u64,
     rng: u64,
-    shadow: Option<LruSet>,
-    seen: PagedBits,
+    classes: Classifier,
     owner: Option<Box<[u8]>>,
+}
+
+/// Miss-classification state.
+#[derive(Debug, Clone)]
+enum Classifier {
+    /// Blocks that have missed before: a first miss is compulsory, any
+    /// other a capacity miss.
+    FirstTouch(PagedBits),
+    /// Three-C classification: a fully-associative LRU shadow of the
+    /// cache's capacity, with the first-touch bits folded into its table.
+    /// A miss the shadow would have hit is a conflict miss.
+    ThreeC(StampLru),
 }
 
 /// A block evicted by a fill.
@@ -142,11 +159,7 @@ pub struct Cache {
     plru: Vec<u64>,
     stamp: u64,
     stats: CacheStats,
-    /// Fully-associative LRU shadow of equal capacity, for conflict-miss
-    /// classification.
-    shadow: Option<LruSet>,
-    /// Blocks ever referenced (compulsory-miss detection).
-    seen: PagedBits,
+    classes: Classifier,
     rng: u64,
     /// Per-line way-duel ownership tags (0 untagged, 1 regular,
     /// 2 irregular), allocated lazily by [`Cache::fill_partitioned`].
@@ -154,7 +167,9 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates a cache without miss classification (fastest).
+    /// Creates a cache without three-C classification (fastest): misses
+    /// are [`MissClass::Compulsory`] on a block's first miss and
+    /// [`MissClass::Capacity`] after that.
     pub fn new(cfg: CacheConfig) -> Self {
         Self::build(cfg, false)
     }
@@ -183,8 +198,11 @@ impl Cache {
             plru: vec![0; sets as usize],
             stamp: 0,
             stats: CacheStats::default(),
-            shadow: classify.then(|| LruSet::new(cfg.num_lines() as usize)),
-            seen: PagedBits::new(),
+            classes: if classify {
+                Classifier::ThreeC(StampLru::new(cfg.num_lines() as usize))
+            } else {
+                Classifier::FirstTouch(PagedBits::new())
+            },
             rng: 0x9E37_79B9_7F4A_7C15,
             owner: None,
         }
@@ -228,6 +246,9 @@ impl Cache {
     pub fn access(&mut self, block: u64, write: bool) -> Lookup {
         self.stamp += 1;
         self.stats.accesses += 1;
+        if cfg!(debug_assertions) && self.stats.accesses.is_multiple_of(INVARIANT_PERIOD) {
+            debug_assert_eq!(self.check_invariants(), Ok(()), "access {}", self.stats.accesses);
+        }
         let si = self.set_index(block);
         let base = si * self.assoc;
         let stamp = self.stamp;
@@ -254,31 +275,27 @@ impl Cache {
             if self.cfg.replacement == Replacement::Plru {
                 self.plru_touch(si, way);
             }
-            if let Some(shadow) = &mut self.shadow {
-                shadow.insert(block, false);
+            if let Classifier::ThreeC(shadow) = &mut self.classes {
+                shadow.hit(block);
             }
             return Lookup::Hit;
         }
-        let class = self.classify(block);
+        let class = match &mut self.classes {
+            Classifier::FirstTouch(seen) => {
+                if seen.set(block) {
+                    MissClass::Compulsory
+                } else {
+                    MissClass::Capacity
+                }
+            }
+            Classifier::ThreeC(shadow) => match shadow.miss(block) {
+                (true, _) => MissClass::Compulsory,
+                (false, true) => MissClass::Conflict,
+                (false, false) => MissClass::Capacity,
+            },
+        };
         self.stats.record_miss(class);
         Lookup::Miss(class)
-    }
-
-    fn classify(&mut self, block: u64) -> MissClass {
-        let first_touch = self.seen.set(block);
-        // One shadow touch per miss: the probing insert reports prior
-        // membership and refreshes recency in a single lookup.
-        let shadow_hit = match &mut self.shadow {
-            Some(shadow) => shadow.insert_probe(block, false).0,
-            None => false,
-        };
-        if first_touch {
-            MissClass::Compulsory
-        } else if shadow_hit {
-            MissClass::Conflict
-        } else {
-            MissClass::Capacity
-        }
     }
 
     /// Probes for `block` without changing any state.
@@ -294,17 +311,21 @@ impl Cache {
         let si = self.set_index(block);
         let base = si * self.assoc;
         let stamp = self.stamp;
-        let is_lru = self.cfg.replacement == Replacement::Lru;
-        if let Some(line) =
-            self.lines[base..base + self.assoc].iter_mut().find(|l| l.valid && l.block == block)
-        {
+        let (present, invalid, oldest) = self.scan(base, block);
+        if let Some(way) = present {
+            let line = &mut self.lines[base + way];
             line.dirty |= dirty;
-            if is_lru {
+            if self.cfg.replacement == Replacement::Lru {
                 line.stamp = stamp;
             }
             return None;
         }
-        let way = self.choose_victim(si);
+        let way = match (invalid, self.cfg.replacement) {
+            (Some(way), _) => way,
+            (None, Replacement::Lru | Replacement::Fifo) => oldest,
+            (None, Replacement::Plru) => self.plru_victim(si),
+            (None, Replacement::Random) => self.random_way(),
+        };
         let line = &mut self.lines[base + way];
         let evicted = line.valid.then_some(Eviction { block: line.block, dirty: line.dirty });
         if let Some(e) = evicted {
@@ -318,6 +339,27 @@ impl Cache {
             self.plru_touch(si, way);
         }
         evicted
+    }
+
+    /// One pass over the set starting at line `base`: the way holding
+    /// `block` (the scan stops there), the first invalid way, and the
+    /// oldest line (the first of equal stamps).
+    #[inline]
+    fn scan(&self, base: usize, block: u64) -> (Option<usize>, Option<usize>, usize) {
+        let set = &self.lines[base..base + self.assoc];
+        let mut invalid = None;
+        let mut oldest = 0;
+        for (way, line) in set.iter().enumerate() {
+            if !line.valid {
+                invalid = invalid.or(Some(way));
+            } else if line.block == block {
+                return (Some(way), invalid, oldest);
+            }
+            if line.stamp < set[oldest].stamp {
+                oldest = way;
+            }
+        }
+        (None, invalid, oldest)
     }
 
     /// Allocates `block` on behalf of one way-duel side (`irregular` names
@@ -409,42 +451,27 @@ impl Cache {
         evicted
     }
 
-    /// The block that a fill of `block` would evict, without filling.
+    /// The block that a fill of `block` would evict, without filling. Exact
+    /// for LRU, FIFO and PLRU; under [`Replacement::Random`] it previews the
+    /// oldest line, an approximation used only by assist decision logic.
     pub fn victim_for(&self, block: u64) -> Option<Eviction> {
         let si = self.set_index(block);
-        let set = self.set(si);
-        if set.iter().any(|l| l.valid && l.block == block) {
+        let base = si * self.assoc;
+        let (None, None, oldest) = self.scan(base, block) else {
             return None;
-        }
-        if set.iter().any(|l| !l.valid) {
-            return None;
-        }
-        let line = &self.set(si)[self.peek_victim(si)];
+        };
+        let way =
+            if self.cfg.replacement == Replacement::Plru { self.plru_victim(si) } else { oldest };
+        let line = &self.lines[base + way];
         Some(Eviction { block: line.block, dirty: line.dirty })
     }
 
-    fn peek_victim(&self, si: usize) -> usize {
-        // Deterministic preview matching choose_victim for LRU/FIFO; for
-        // Random the preview is the oldest line (an approximation used only
-        // by assist decision logic).
-        self.set(si).iter().enumerate().min_by_key(|(_, l)| l.stamp).map(|(i, _)| i).unwrap_or(0)
-    }
-
-    fn choose_victim(&mut self, si: usize) -> usize {
-        if let Some(way) = self.set(si).iter().position(|l| !l.valid) {
-            return way;
-        }
-        match self.cfg.replacement {
-            Replacement::Lru | Replacement::Fifo => self.peek_victim(si),
-            Replacement::Plru => self.plru_victim(si),
-            Replacement::Random => {
-                // xorshift64*
-                self.rng ^= self.rng >> 12;
-                self.rng ^= self.rng << 25;
-                self.rng ^= self.rng >> 27;
-                (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % self.cfg.assoc as u64) as usize
-            }
-        }
+    /// The random policy's next way (xorshift64*).
+    fn random_way(&mut self) -> usize {
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % self.cfg.assoc as u64) as usize
     }
 
     /// Marks `way` most-recently-used in the PLRU tree: flip each node on
@@ -510,8 +537,7 @@ impl Cache {
             plru: self.plru.clone(),
             stamp: self.stamp,
             rng: self.rng,
-            shadow: self.shadow.clone(),
-            seen: self.seen.clone(),
+            classes: self.classes.clone(),
             owner: self.owner.clone(),
         }
     }
@@ -529,9 +555,31 @@ impl Cache {
         self.plru = snap.plru.clone();
         self.stamp = snap.stamp;
         self.rng = snap.rng;
-        self.shadow = snap.shadow.clone();
-        self.seen = snap.seen.clone();
+        self.classes = snap.classes.clone();
         self.owner = snap.owner.clone();
+    }
+
+    /// Checks the cache's structural invariants: no block is valid twice in
+    /// one set, every MRU hint names a way, and the classification shadow's
+    /// ring agrees with its table (see `StampLru::check_invariants`).
+    /// Test and debug builds run it every few thousand accesses.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut blocks = Vec::with_capacity(self.assoc);
+        for si in 0..self.mru.len() {
+            blocks.clear();
+            blocks.extend(self.set(si).iter().filter(|l| l.valid).map(|l| l.block));
+            blocks.sort_unstable();
+            if let Some(pair) = blocks.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(format!("block {} valid twice in set {si}", pair[0]));
+            }
+            if self.mru[si] as usize >= self.assoc {
+                return Err(format!("MRU hint {} of set {si} out of range", self.mru[si]));
+            }
+        }
+        match &self.classes {
+            Classifier::ThreeC(shadow) => shadow.check_invariants(),
+            Classifier::FirstTouch(_) => Ok(()),
+        }
     }
 }
 
@@ -644,6 +692,53 @@ mod tests {
         let preview = c.victim_for(8).unwrap();
         let actual = c.fill(8, false).unwrap();
         assert_eq!(preview, actual);
+
+        // Tree PLRU: after filling ways 0..4 and touching way 0 again, the
+        // tree points at way 2. The oldest-filled line is block 0, which
+        // the access just made most recent.
+        let mut c = Cache::new(CacheConfig {
+            size: 4 * 32,
+            assoc: 4,
+            block_size: 32,
+            replacement: Replacement::Plru,
+        });
+        for b in 0..4 {
+            c.fill(b, b == 2);
+        }
+        c.access(0, false);
+        let preview = c.victim_for(9).unwrap();
+        assert_eq!(preview, Eviction { block: 2, dirty: true });
+        assert_eq!(c.fill(9, false), Some(preview));
+    }
+
+    #[test]
+    fn first_miss_is_compulsory_even_after_earlier_hits() {
+        // First-touch bits are set by misses only: a block filled without
+        // an access (a prefetch or write-back) and then hit has never
+        // missed, so its first miss after eviction is compulsory.
+        let mut c = tiny();
+        c.fill(0, false);
+        assert!(c.access(0, false).is_hit());
+        c.fill(4, false);
+        c.fill(8, false); // evicts 0
+        assert_eq!(c.access(0, false), Lookup::Miss(MissClass::Compulsory));
+        c.fill(0, false); // evicts 4
+        c.fill(12, false); // evicts 8
+        c.fill(16, false); // evicts 0
+        assert_eq!(c.access(0, false), Lookup::Miss(MissClass::Conflict));
+    }
+
+    #[test]
+    fn invariants_hold_and_catch_a_duplicate_block() {
+        let mut c = tiny();
+        for b in 0..40 {
+            if !c.access(b % 13, false).is_hit() {
+                c.fill(b % 13, false);
+            }
+        }
+        assert_eq!(c.check_invariants(), Ok(()));
+        c.lines[1] = c.lines[0];
+        assert!(c.check_invariants().unwrap_err().contains("valid twice"));
     }
 
     #[test]

@@ -170,6 +170,13 @@ pub struct MemoryHierarchy {
     mem_busy_until: u64,
     /// Open DRAM row (page number) per bank, for the row-buffer hit model.
     open_dram_rows: Vec<u64>,
+    /// Memory-bus cycles to transfer one L2 block.
+    transfer: u64,
+    /// Cycles a row miss occupies the memory system.
+    bank_occupancy: u64,
+    /// `log2` of the L1d and L2 block sizes.
+    l1_shift: u32,
+    l2_shift: u32,
 }
 
 impl MemoryHierarchy {
@@ -218,6 +225,10 @@ impl MemoryHierarchy {
             l2_busy_until: 0,
             mem_busy_until: 0,
             open_dram_rows: vec![u64::MAX; cfg.dram_banks.max(1) as usize],
+            transfer: cfg.l2.block_size / cfg.bus_bytes,
+            bank_occupancy: cfg.mem_latency / cfg.dram_banks.max(1),
+            l1_shift: cfg.l1d.block_size.trailing_zeros(),
+            l2_shift: cfg.l2.block_size.trailing_zeros(),
             cfg,
         }
     }
@@ -490,7 +501,7 @@ impl MemoryHierarchy {
     /// reduced hit latency, any other access pays the full latency and
     /// opens its row.
     fn memory_access(&mut self, addr: Addr, ready: u64) -> u64 {
-        let transfer = self.cfg.l2.block_size / self.cfg.bus_bytes;
+        let transfer = self.transfer;
         let mstart = ready.max(self.mem_busy_until);
         let row = addr.block(self.cfg.dram_page_bytes.max(1));
         // XOR-hashed bank index (standard practice): decorrelates lockstep
@@ -503,15 +514,14 @@ impl MemoryHierarchy {
             // Row miss: full latency, and the banks bound how many random
             // accesses the memory system can overlap.
             self.open_dram_rows[bank] = row;
-            let bank_occupancy = self.cfg.mem_latency / self.cfg.dram_banks.max(1);
-            (self.cfg.mem_latency, transfer.max(bank_occupancy))
+            (self.cfg.mem_latency, transfer.max(self.bank_occupancy))
         };
         self.mem_busy_until = mstart + occupancy;
         mstart + latency + transfer
     }
 
     fn l1_block_to_l2(&self, b1: u64) -> u64 {
-        b1 * self.cfg.l1d.block_size / self.cfg.l2.block_size
+        (b1 << self.l1_shift) >> self.l2_shift
     }
 
     fn writeback_to_l2<P: Probe>(&mut self, b1: u64, probe: &mut P) {
@@ -646,6 +656,17 @@ impl MemoryHierarchy {
     /// Read access to the adaptive way duel (`None` when absent).
     pub fn way_duel(&self) -> Option<&WayDuel> {
         self.duel.as_ref()
+    }
+
+    /// Checks the structural invariants of every cache and TLB
+    /// ([`Cache::check_invariants`]), naming the first that fails.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let caches = [("L1d", &self.l1d), ("L1i", &self.l1i), ("L2", &self.l2)];
+        for (name, cache) in caches {
+            cache.check_invariants().map_err(|e| format!("{name}: {e}"))?;
+        }
+        self.dtlb.check_invariants().map_err(|e| format!("DTLB: {e}"))?;
+        self.itlb.check_invariants().map_err(|e| format!("ITLB: {e}"))
     }
 
     /// Applies a data access *functionally*: cache, TLB, and assist state
@@ -822,6 +843,56 @@ mod tests {
         // First touch of the page pays the TLB walk (30) and the full DRAM
         // latency; the second access hits both the TLB and the open row.
         assert_eq!(miss - hit, (100 - 25) + 30);
+    }
+
+    #[test]
+    fn memory_timing_is_exact_for_any_bus_and_bank_count() {
+        // The precomputed transfer time and bank occupancy must reproduce
+        // the plain formulas, also for bus widths and bank counts that are
+        // not powers of two.
+        for (bus_bytes, dram_banks) in [(8, 8), (12, 6), (5, 3), (8, 1), (16, 0), (3, 16)] {
+            let cfg = HierarchyConfig {
+                bus_bytes,
+                dram_banks,
+                ..HierarchyConfig::paper_base(AssistKind::None)
+            };
+            let mut h = MemoryHierarchy::new(cfg.clone());
+            let banks = cfg.dram_banks.max(1);
+            let mut open = vec![u64::MAX; banks as usize];
+            let mut busy = 0u64;
+            let mut state = bus_bytes * 31 + dram_banks;
+            for k in 0..2000u64 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let addr = Addr(0x1000_0000 + (state >> 40) % (1 << 22));
+                let ready = k * 7;
+                // The plain formulas.
+                let transfer = cfg.l2.block_size / cfg.bus_bytes;
+                let mstart = ready.max(busy);
+                let row = addr.0 / cfg.dram_page_bytes;
+                let bank = ((row ^ (row >> 3) ^ (row >> 6)) % banks) as usize;
+                let (latency, occupancy) = if row == open[bank] {
+                    (cfg.dram_hit_latency, transfer)
+                } else {
+                    open[bank] = row;
+                    (cfg.mem_latency, transfer.max(cfg.mem_latency / banks))
+                };
+                busy = mstart + occupancy;
+                let want = mstart + latency + transfer;
+                assert_eq!(
+                    h.memory_access(addr, ready),
+                    want,
+                    "bus {bus_bytes} banks {dram_banks}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn l1_blocks_map_to_their_l2_block() {
+        let h = MemoryHierarchy::new(HierarchyConfig::paper_base(AssistKind::None));
+        for b1 in [0u64, 3, 4, 5, 0x80_0001, (1 << 58) - 1] {
+            assert_eq!(h.l1_block_to_l2(b1), b1 * 32 / 128);
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ mod hierarchy;
 mod lru;
 mod mat;
 mod probe;
+mod shadow;
 mod sldt;
 mod stats;
 mod stream;

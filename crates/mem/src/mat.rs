@@ -33,6 +33,11 @@ impl Default for MatConfig {
 #[derive(Debug, Clone)]
 pub struct Mat {
     cfg: MatConfig,
+    /// `log2(macro_block)`.
+    macro_shift: u32,
+    /// `log2(entries)`: the low bits of a macro-block number index the
+    /// table and the rest form the tag.
+    index_bits: u32,
     tags: Vec<u64>,
     counts: Vec<u32>,
     since_decay: u64,
@@ -44,12 +49,14 @@ impl Mat {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `macro_block` is not a power of two.
+    /// Panics if `entries` or `macro_block` is not a power of two.
     pub fn new(cfg: MatConfig) -> Self {
-        assert!(cfg.entries > 0, "MAT must have entries");
+        assert!(cfg.entries.is_power_of_two(), "MAT entries must be a power of two");
         assert!(cfg.macro_block.is_power_of_two(), "macro-block size must be a power of two");
         Mat {
             cfg,
+            macro_shift: cfg.macro_block.trailing_zeros(),
+            index_bits: cfg.entries.trailing_zeros(),
             tags: vec![u64::MAX; cfg.entries],
             counts: vec![0; cfg.entries],
             since_decay: 0,
@@ -64,11 +71,11 @@ impl Mat {
 
     /// Macro-block number of an address.
     pub fn macro_of(&self, addr: Addr) -> u64 {
-        addr.block(self.cfg.macro_block)
+        addr.0 >> self.macro_shift
     }
 
     fn slot(&self, mb: u64) -> (usize, u64) {
-        ((mb % self.cfg.entries as u64) as usize, mb / self.cfg.entries as u64)
+        ((mb as usize) & (self.cfg.entries - 1), mb >> self.index_bits)
     }
 
     /// Records an access to `addr`, bumping its macro-block counter. A tag
@@ -184,6 +191,12 @@ mod tests {
         assert_eq!(m.count(Addr(0)), 9);
         m.record(Addr(0)); // 10th record triggers decay: (9+1)/2
         assert_eq!(m.count(Addr(0)), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "entries must be a power of two")]
+    fn rejects_non_power_of_two_entries() {
+        let _ = Mat::new(MatConfig { entries: 12, ..MatConfig::default() });
     }
 
     #[test]

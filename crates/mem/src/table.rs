@@ -2,9 +2,10 @@
 //!
 //! Simulated addresses are synthetic and dense (arrays start at a fixed base
 //! and grow contiguously), so block numbers cluster into a few small ranges.
-//! That makes a paged bitmap the right shape for first-touch tracking and a
-//! fixed-size open-addressed table the right shape for the shadow-LRU /
-//! victim-buffer indices — both replace `std` hash containers whose per-op
+//! That makes a paged table the right shape for per-block state — the
+//! first-touch bitmap and the classification shadow's stamps — and a
+//! fixed-size open-addressed table the right shape for the victim-cache and
+//! bypass-buffer indices. Both replace `std` hash containers whose per-op
 //! SipHash cost dominated `Cache::access`.
 
 /// Sentinel marking an empty [`BlockMap`] slot (node indices never reach it).
@@ -125,21 +126,83 @@ impl BlockMap {
     }
 }
 
-/// Bits per [`PagedBits`] page (4 KiB of payload).
-const PAGE_SHIFT: u32 = 15;
-const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 6);
-/// Pages addressed directly; block numbers at or beyond
-/// `MAX_PAGES << PAGE_SHIFT` (2^31) spill into the overflow set.
+/// Pages addressed directly; keys at or beyond `MAX_PAGES * LEN` spill into
+/// the overflow map.
 const MAX_PAGES: usize = 1 << 16;
 
-/// Lazily-allocated paged bitmap over block numbers, used for first-touch
-/// (compulsory-miss) detection. Membership test plus insert is a single
-/// masked load on the hot path; pathological block numbers fall back to a
-/// hash set so correctness never depends on density.
+/// Lazily-allocated paged table from a `u64` key to a `T` that starts at
+/// `T::default()`, in pages of `LEN` (a power of two) entries. Keys are
+/// block numbers (or words of them), which cluster densely, so the hot path
+/// is one page-pointer load and one indexed access; pathological keys fall
+/// back to a hash map so correctness never depends on density.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PagedTable<T, const LEN: usize> {
+    pages: Vec<Option<Box<[T; LEN]>>>,
+    overflow: std::collections::HashMap<u64, T>,
+}
+
+impl<T: Copy + Default, const LEN: usize> PagedTable<T, LEN> {
+    const SHIFT: u32 = {
+        assert!(LEN.is_power_of_two(), "page length must be a power of two");
+        LEN.trailing_zeros()
+    };
+
+    /// The entry for `key`, allocating its page on first use.
+    #[inline]
+    pub fn entry(&mut self, key: u64) -> &mut T {
+        let page = (key >> Self::SHIFT) as usize;
+        // `pages` never grows past `MAX_PAGES`, so an allocated page is also
+        // a directly addressed one.
+        if let Some(Some(_)) = self.pages.get(page) {
+            let entries = self.pages[page].as_mut().expect("page checked above");
+            return &mut entries[key as usize & (LEN - 1)];
+        }
+        self.entry_cold(key)
+    }
+
+    /// [`PagedTable::entry`] for a key whose page is not allocated.
+    #[cold]
+    fn entry_cold(&mut self, key: u64) -> &mut T {
+        let page = (key >> Self::SHIFT) as usize;
+        if page >= MAX_PAGES {
+            return self.overflow.entry(key).or_default();
+        }
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let entries = self.pages[page].get_or_insert_with(|| {
+            let page = vec![T::default(); LEN].into_boxed_slice();
+            page.try_into().unwrap_or_else(|_| unreachable!("a page has LEN entries"))
+        });
+        &mut entries[key as usize & (LEN - 1)]
+    }
+
+    /// Applies `f` to every allocated entry.
+    pub fn update_all(&mut self, mut f: impl FnMut(&mut T)) {
+        self.pages.iter_mut().flatten().flat_map(|page| page.iter_mut()).for_each(&mut f);
+        self.overflow.values_mut().for_each(f);
+    }
+
+    /// The entry for `key` without allocating (`T::default()` if absent).
+    pub fn get(&self, key: u64) -> T {
+        let page = (key >> Self::SHIFT) as usize;
+        if page >= MAX_PAGES {
+            return self.overflow.get(&key).copied().unwrap_or_default();
+        }
+        match self.pages.get(page) {
+            Some(Some(entries)) => entries[key as usize & (LEN - 1)],
+            _ => T::default(),
+        }
+    }
+}
+
+/// Paged bitmap over block numbers, used for first-touch (compulsory-miss)
+/// detection in caches without three-C classification: a [`PagedTable`] of
+/// 64-bit words in 4 KiB pages, so membership test plus insert is a single
+/// masked load.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PagedBits {
-    pages: Vec<Option<Box<[u64]>>>,
-    overflow: std::collections::HashSet<u64>,
+    words: PagedTable<u64, 512>,
 }
 
 impl PagedBits {
@@ -150,19 +213,10 @@ impl PagedBits {
     /// Sets `bit`, returning true if it was previously clear.
     #[inline]
     pub fn set(&mut self, bit: u64) -> bool {
-        let page = (bit >> PAGE_SHIFT) as usize;
-        if page >= MAX_PAGES {
-            return self.overflow.insert(bit);
-        }
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let words =
-            self.pages[page].get_or_insert_with(|| vec![0u64; PAGE_WORDS].into_boxed_slice());
-        let w = ((bit >> 6) as usize) & (PAGE_WORDS - 1);
+        let word = self.words.entry(bit >> 6);
         let m = 1u64 << (bit & 63);
-        let fresh = words[w] & m == 0;
-        words[w] |= m;
+        let fresh = *word & m == 0;
+        *word |= m;
         fresh
     }
 }
@@ -239,6 +293,24 @@ mod tests {
         assert!(b.set(64));
         assert!(b.set(1 << 20));
         assert!(!b.set(1 << 20));
+    }
+
+    #[test]
+    fn paged_table_defaults_and_overflow() {
+        let mut t: PagedTable<u32, 16> = PagedTable::default();
+        let huge = 1u64 << 40;
+        for key in [0, 5, 16, huge] {
+            assert_eq!(t.get(key), 0);
+            *t.entry(key) = key as u32 + 1;
+        }
+        for key in [0, 5, 16, huge] {
+            assert_eq!((*t.entry(key), t.get(key)), (key as u32 + 1, key as u32 + 1));
+        }
+        let mut sum = 0;
+        t.update_all(|v| sum += *v);
+        assert_eq!(sum, 1 + 6 + 17 + (huge as u32 + 1));
+        assert_eq!(t.get(6), 0);
+        assert_eq!(t.get(huge + 1), 0);
     }
 
     #[test]

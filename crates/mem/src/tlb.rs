@@ -103,6 +103,11 @@ impl Tlb {
     pub fn restore(&mut self, snap: &TlbSnapshot) {
         self.cache.restore(&snap.cache);
     }
+
+    /// Checks the underlying cache's invariants ([`Cache::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.cache.check_invariants()
+    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 //! `reference` below is a scalar re-model of the pre-flattening cache: one
 //! `Vec<Line>` per set, a `HashSet` first-touch tracker, and an O(n)
 //! fully-associative LRU shadow. Both models are driven through the same
-//! 100k-access mixed workload (accesses, fills, invalidations) per policy and
-//! must agree on every lookup result, every eviction, and the final
-//! `CacheStats` including the three-C classification.
+//! mixed workload (accesses, fills, invalidations, victim previews) per
+//! policy and must agree on every lookup result, every eviction, every
+//! preview, and the final `CacheStats` including the three-C classification.
+//! The cache's own invariant check runs throughout. Besides a 128-line cache,
+//! classified caches of 1 to 8 lines run long streams, which compact the
+//! cache's stamp-ring shadow thousands of times.
 
 use selcache_mem::{Cache, CacheConfig, Lookup, Replacement};
 
@@ -185,7 +188,13 @@ mod reference {
             self.sets.iter().flatten().filter(|l| l.valid).count()
         }
 
+        /// The way a fill into the full set would evict: the PLRU tree's
+        /// choice, else the oldest line (exact for LRU and FIFO, the
+        /// documented stand-in for the random draw).
         fn peek_victim(&self, si: usize) -> usize {
+            if self.cfg.replacement == Replacement::Plru {
+                return self.plru_victim(si);
+            }
             self.sets[si]
                 .iter()
                 .enumerate()
@@ -199,8 +208,7 @@ mod reference {
                 return way;
             }
             match self.cfg.replacement {
-                Replacement::Lru | Replacement::Fifo => self.peek_victim(si),
-                Replacement::Plru => self.plru_victim(si),
+                Replacement::Lru | Replacement::Fifo | Replacement::Plru => self.peek_victim(si),
                 Replacement::Random => {
                     self.rng ^= self.rng >> 12;
                     self.rng ^= self.rng << 25;
@@ -261,18 +269,20 @@ impl Stream {
     }
 }
 
-fn drive(replacement: Replacement) {
-    // 4KiB, 4-way, 32B blocks: 32 sets, 128 lines. The block universe is 4x
-    // the cache capacity with a strided hot region, so all three miss classes
-    // occur under every policy.
-    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32, replacement };
+/// Runs `steps` mixed operations over blocks drawn half from `0..hot` and
+/// half from `0..wide` through both models, from stream seed `seed`.
+fn drive(cfg: CacheConfig, seed: u64, steps: u64, hot: u64, wide: u64) {
+    let replacement = cfg.replacement;
     let mut flat = Cache::with_classification(cfg);
     let mut refc = reference::RefCache::new(cfg);
-    let mut s = Stream(0xDEAD_BEEF ^ replacement as u64);
+    let mut s = Stream(seed);
 
-    for step in 0..100_000u64 {
+    for step in 0..steps {
+        if step % 997 == 0 {
+            assert_eq!(flat.check_invariants(), Ok(()), "{cfg:?} step {step}");
+        }
         let r = s.next();
-        let block = if r & 1 == 0 { r % 96 } else { (r >> 8) % 512 };
+        let block = if r & 1 == 0 { r % hot } else { (r >> 8) % wide };
         match r % 100 {
             0..=84 => {
                 let write = r & 4 != 0;
@@ -331,29 +341,76 @@ fn drive(replacement: Replacement) {
     );
     assert_eq!(st.writebacks, refc.writebacks, "{replacement:?}: writebacks");
     assert_eq!(flat.resident(), refc.resident(), "{replacement:?}: resident lines");
+    assert_eq!(flat.check_invariants(), Ok(()), "{cfg:?}: final state");
     assert!(st.misses > 0 && st.hits > 0, "{replacement:?}: workload must mix hits and misses");
     assert!(
         st.compulsory > 0 && st.capacity > 0 && st.conflict > 0,
-        "{replacement:?}: workload must exercise all three miss classes"
+        "{cfg:?}: workload must exercise all three miss classes"
     );
+}
+
+/// 4KiB, 4-way, 32B blocks: 32 sets, 128 lines. The block universe is 4x
+/// the cache capacity with a strided hot region, so all three miss classes
+/// occur under every policy.
+fn drive_128_lines(replacement: Replacement) {
+    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32, replacement };
+    drive(cfg, 0xDEAD_BEEF ^ replacement as u64, 100_000, 96, 512);
+}
+
+/// Every geometry of 1 to 8 lines (direct-mapped, fully associative, and
+/// 2-way where it divides), 40k operations each over a universe about
+/// three times the capacity.
+fn drive_tiny(replacement: Replacement) {
+    for lines in 1..=8u64 {
+        for assoc in [1, 2, lines] {
+            if lines % assoc != 0 || (replacement == Replacement::Plru && !assoc.is_power_of_two())
+            {
+                continue;
+            }
+            let cfg =
+                CacheConfig { size: lines * 32, assoc: assoc as u32, block_size: 32, replacement };
+            let seed = 0xDEAD_BEEF ^ replacement as u64 ^ lines << 8 ^ assoc << 16;
+            drive(cfg, seed, 40_000, lines + 1, 3 * lines + 2);
+        }
+    }
 }
 
 #[test]
 fn lru_matches_reference() {
-    drive(Replacement::Lru);
+    drive_128_lines(Replacement::Lru);
 }
 
 #[test]
 fn fifo_matches_reference() {
-    drive(Replacement::Fifo);
+    drive_128_lines(Replacement::Fifo);
 }
 
 #[test]
 fn random_matches_reference() {
-    drive(Replacement::Random);
+    drive_128_lines(Replacement::Random);
 }
 
 #[test]
 fn plru_matches_reference() {
-    drive(Replacement::Plru);
+    drive_128_lines(Replacement::Plru);
+}
+
+#[test]
+fn tiny_lru_caches_match_reference() {
+    drive_tiny(Replacement::Lru);
+}
+
+#[test]
+fn tiny_fifo_caches_match_reference() {
+    drive_tiny(Replacement::Fifo);
+}
+
+#[test]
+fn tiny_random_caches_match_reference() {
+    drive_tiny(Replacement::Random);
+}
+
+#[test]
+fn tiny_plru_caches_match_reference() {
+    drive_tiny(Replacement::Plru);
 }

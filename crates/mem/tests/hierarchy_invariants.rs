@@ -1,6 +1,7 @@
 //! Invariant tests for the memory hierarchy under randomized access
-//! streams: accounting identities, assist state machines, and latency
-//! monotonicity.
+//! streams: accounting identities, assist state machines, latency
+//! monotonicity, and the caches' structural invariants
+//! (`MemoryHierarchy::check_invariants`), checked every few hundred accesses.
 
 use proptest::prelude::*;
 use selcache_ir::Addr;
@@ -33,7 +34,11 @@ fn run(
         }
         now += 3;
         h.data_access(Addr(a), w, now);
+        if k % 397 == 0 {
+            assert_eq!(h.check_invariants(), Ok(()), "access {k}");
+        }
     }
+    assert_eq!(h.check_invariants(), Ok(()), "final state");
     h
 }
 
@@ -99,6 +104,24 @@ proptest! {
             prop_assert!(lat >= 2, "latency below L1 time: {lat}");
             prop_assert!(lat <= 30 + 2 + 10 + 100 + 16 + 64, "latency implausible: {lat}");
         }
+    }
+}
+
+#[test]
+fn structural_invariants_hold_under_mixed_fetch_and_data_traffic() {
+    for assist in [AssistKind::None, AssistKind::Bypass, AssistKind::Victim, AssistKind::Stream] {
+        let mut h = MemoryHierarchy::new(HierarchyConfig::paper_base(assist));
+        let mut now = 0;
+        for (k, (a, w)) in stream(assist as u64 + 5, 20_000, 1 << 22).into_iter().enumerate() {
+            now += 3;
+            h.data_access(Addr(a), w, now);
+            h.inst_fetch(0x40_0000 + (a >> 3) % 8192 * 4, now);
+            if k % 1000 == 0 {
+                h.set_assist_enabled(k % 2000 == 0);
+                assert_eq!(h.check_invariants(), Ok(()), "{assist:?} access {k}");
+            }
+        }
+        assert_eq!(h.check_invariants(), Ok(()), "{assist:?} final state");
     }
 }
 
